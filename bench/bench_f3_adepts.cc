@@ -95,25 +95,6 @@ void PrintResult() {
       {s.workload->TxnInsertADept(2), s.workload->TxnModEmp(1),
        s.workload->TxnModDept(1)},
       OptimizeOptions{}, "  F3 optimizer scaling: ADeptsStatus, 3 txns");
-
-  // Maintenance wall time across delta-propagation worker counts on the
-  // same DAG (a smaller population: each row rebuilds and re-materializes).
-  {
-    EmpDeptConfig config;
-    config.with_adepts = true;
-    config.num_depts = 50;
-    config.emps_per_dept = 5;
-    auto workload = std::make_shared<EmpDeptWorkload>(config);
-    auto tree = workload->ADeptsStatusTree();
-    if (!tree.ok()) return;
-    auto memo = BuildExpandedMemo(*tree, workload->catalog());
-    if (!memo.ok()) return;
-    bench::PrintPropagationScaling(
-        &*memo, &workload->catalog(),
-        [workload](Database* db) { return workload->Populate(db); },
-        {workload->TxnInsertADept()},
-        "  F3 propagation scaling: >ADepts, threads 1/2/4/8");
-  }
 }
 
 void BM_ExhaustiveAdeptsStatus(benchmark::State& state) {

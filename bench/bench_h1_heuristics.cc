@@ -90,26 +90,6 @@ void PrintResults() {
                                  workload.AllTxns({4, 1, 1, 1, 1}), base,
                                  "H1 optimizer scaling: chain-4, 5 txns");
   }
-
-  // Maintenance wall time across delta-propagation worker counts on the
-  // aggregated chain-3 (the deepest track this bench maintains end to end).
-  {
-    ChainConfig config;
-    config.num_relations = 3;
-    config.rows_per_relation = 40;
-    config.fanout = 2;
-    config.with_aggregate = true;
-    auto workload = std::make_shared<ChainWorkload>(config);
-    auto tree = workload->ChainViewTree();
-    if (!tree.ok()) return;
-    auto memo = BuildExpandedMemo(*tree, workload->catalog());
-    if (!memo.ok()) return;
-    bench::PrintPropagationScaling(
-        &*memo, &workload->catalog(),
-        [workload](Database* db) { return workload->Populate(db); },
-        workload->AllTxns(),
-        "H1 propagation scaling: chain-3, threads 1/2/4/8");
-  }
 }
 
 void BM_StrategyOnChain4(benchmark::State& state) {

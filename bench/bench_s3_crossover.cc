@@ -74,24 +74,6 @@ void PrintResult() {
         OptimizeOptions{},
         "S3 optimizer scaling: ProblemDept, 50/50 mix");
   }
-
-  // Maintenance wall time across delta-propagation worker counts on a
-  // scaled-down ProblemDept (each row rebuilds and re-materializes).
-  {
-    EmpDeptConfig config;
-    config.num_depts = 50;
-    config.emps_per_dept = 5;
-    auto workload = std::make_shared<EmpDeptWorkload>(config);
-    auto tree = workload->ProblemDeptTree();
-    if (!tree.ok()) return;
-    auto memo = BuildExpandedMemo(*tree, workload->catalog());
-    if (!memo.ok()) return;
-    bench::PrintPropagationScaling(
-        &*memo, &workload->catalog(),
-        [workload](Database* db) { return workload->Populate(db); },
-        {workload->TxnModEmp()},
-        "S3 propagation scaling: >Emp, threads 1/2/4/8");
-  }
 }
 
 void BM_WeightSweepOptimize(benchmark::State& state) {

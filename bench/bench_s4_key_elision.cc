@@ -7,10 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,123 +15,6 @@
 
 namespace auxview {
 namespace {
-
-/// Shard scaling: the same recorded transaction stream replayed against
-/// databases with 1, 2, 4 and 8 hash shards. The cost-model columns —
-/// charged page I/Os and the routing counters (`sharded` = transactions
-/// that ran the per-shard path, `fallback` = global path) — are identical
-/// across rows except for the routing split itself, which is 0/0 at 1
-/// shard (nothing routes) and all-sharded beyond (docs/SHARDING.md); the
-/// wall-clock `stream_us` column is excluded from the golden-table
-/// comparison (tools/check_bench_tables.py). A DIVERGED marker replaces a
-/// row whose final fingerprints differ from the 1-shard run — never
-/// expected. The stream is recorded once on a 1-shard database because
-/// TxnGenerator samples rows in scan order, which sharding permutes.
-void PrintShardScaling() {
-  auto setup = bench::MakePaperSetup();
-  const Memo& memo = *setup.memo;
-  const Catalog& catalog = setup.workload->catalog();
-  ViewSet views = {memo.root()};
-  for (GroupId g : memo.NonLeafGroups()) views.insert(g);
-
-  constexpr int kSteps = 8;
-  const std::vector<TransactionType> txns = {setup.workload->TxnModEmp(),
-                                             setup.workload->TxnModDept()};
-  std::vector<std::pair<ConcreteTxn, const TransactionType*>> stream;
-  {
-    Database db;
-    if (!setup.workload->Populate(&db).ok()) return;
-    TxnGenerator gen(20260808);
-    for (int step = 0; step < kSteps; ++step) {
-      const TransactionType& type =
-          txns[static_cast<size_t>(step) % txns.size()];
-      auto txn = gen.Generate(type, db);
-      if (!txn.ok()) {
-        std::printf("  generate: %s\n", txn.status().ToString().c_str());
-        return;
-      }
-      // Keep the generator's view of the database in sync with the stream.
-      for (const TableUpdate& update : txn->updates) {
-        Table* t = db.FindTable(update.relation);
-        if (t == nullptr) return;
-        for (const auto& [row, count] : update.inserts) {
-          if (!t->Apply(row, count).ok()) return;
-        }
-        for (const auto& [row, count] : update.deletes) {
-          if (!t->Apply(row, -count).ok()) return;
-        }
-        for (const auto& [old_row, new_row] : update.modifies) {
-          const int64_t c = t->CountOf(old_row);
-          if (!t->Apply(old_row, -c).ok() || !t->Apply(new_row, c).ok()) {
-            return;
-          }
-        }
-      }
-      stream.emplace_back(std::move(*txn),
-                          &txns[static_cast<size_t>(step) % txns.size()]);
-    }
-  }
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  obs::Counter* sharded_c = reg.GetCounter("maintain.shard.sharded_txns");
-  obs::Counter* fallback_c = reg.GetCounter("maintain.shard.fallback_txns");
-  bench::PrintHeader(
-      "S4: shard scaling on ProblemDept (8-txn stream, identical I/O)",
-      {"stream_us", "ios", "sharded", "fallback"});
-  std::map<std::string, std::string> baseline;
-  for (int shards : {1, 2, 4, 8}) {
-    Database db;
-    db.set_shard_count(shards);
-    if (!setup.workload->Populate(&db).ok()) return;
-    MaintainOptions options;
-    options.threads = shards > 1 ? 4 : 1;
-    ViewManager mgr(&memo, &catalog, &db, options);
-    if (!mgr.Materialize(views).ok()) return;
-    ViewSelector selector(&memo, &catalog);
-    const int64_t ios_before = db.counter().total();
-    const int64_t sharded_before = sharded_c->value();
-    const int64_t fallback_before = fallback_c->value();
-    const auto start = std::chrono::steady_clock::now();
-    bool failed = false;
-    for (const auto& [txn, type] : stream) {
-      auto plan = selector.BestTrack(views, *type);
-      if (!plan.ok()) {
-        std::printf("  track: %s\n", plan.status().ToString().c_str());
-        failed = true;
-        break;
-      }
-      Status applied = mgr.ApplyTransaction(txn, *type, plan->track);
-      if (!applied.ok()) {
-        std::printf("  apply: %s\n", applied.ToString().c_str());
-        failed = true;
-        break;
-      }
-    }
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    if (failed) continue;
-    std::map<std::string, std::string> state;
-    for (const std::string& name : db.TableNames()) {
-      state[name] = db.FindTable(name)->Fingerprint();
-    }
-    const std::string label =
-        std::to_string(shards) + (shards == 1 ? " shard" : " shards");
-    if (baseline.empty()) {
-      baseline = state;
-    } else if (state != baseline) {
-      // Never expected: sharded maintenance is bit-identical to the
-      // 1-shard run. A visible marker beats silently wrong timings.
-      std::printf("  %-34s DIVERGED from the 1-shard state\n", label.c_str());
-      continue;
-    }
-    bench::PrintRow(
-        label,
-        {us, static_cast<double>(db.counter().total() - ios_before),
-         static_cast<double>(sharded_c->value() - sharded_before),
-         static_cast<double>(fallback_c->value() - fallback_before)});
-  }
-}
 
 void PrintResult() {
   {
@@ -188,8 +68,6 @@ void PrintResult() {
                     {with->weighted_cost, without->weighted_cost,
                      without->weighted_cost / with->weighted_cost});
   }
-
-  PrintShardScaling();
 }
 
 void BM_BestTrackElision(benchmark::State& state) {

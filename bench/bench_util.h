@@ -211,107 +211,6 @@ inline void PrintOptimizerScaling(const Memo* memo, const Catalog* catalog,
   }
 }
 
-/// Prints a "propagation scaling" table: the same maintenance workload run
-/// with 1, 2, 4 and 8 delta-propagation workers (MaintainOptions::threads).
-/// Each row builds a fresh database, materializes every non-leaf group and
-/// applies two transactions of the first declared type: `cold_us` is the
-/// first (empty fetch cache and cold stats), `warm_us` the repeat. The
-/// cost-model columns — charged page I/Os (`cold_ios`, `warm_ios`) and the
-/// worker-pool task/wave counts (`tasks`, `waves`) — are identical across
-/// rows by construction (propagation is bit-identical for every thread
-/// count; docs/CONCURRENCY.md); only the wall-clock `_us` columns may move,
-/// and those are excluded from the golden-table comparison
-/// (tools/check_bench_tables.py). A DIVERGED marker replaces a row whose
-/// final table fingerprints differ from the 1-thread run — never expected.
-/// On the single-hardware-thread CI container the `_us` columns show pool
-/// overhead rather than speedup (docs/EXPERIMENTS.md).
-inline void PrintPropagationScaling(
-    const Memo* memo, const Catalog* catalog,
-    const std::function<Status(Database*)>& populate,
-    const std::vector<TransactionType>& txns, const std::string& title) {
-  if (txns.empty()) return;
-  obs::Counter* tasks_counter =
-      obs::MetricsRegistry::Global().GetCounter("maintain.pool.tasks_spawned");
-  obs::Counter* waves_counter =
-      obs::MetricsRegistry::Global().GetCounter("maintain.pool.waves");
-  PrintHeader(title,
-              {"cold_us", "warm_us", "cold_ios", "warm_ios", "tasks",
-               "waves"});
-  std::map<std::string, std::string> baseline;
-  for (int threads : {1, 2, 4, 8}) {
-    Database db;
-    Status populated = populate(&db);
-    if (!populated.ok()) {
-      std::printf("  populate: %s\n", populated.ToString().c_str());
-      return;
-    }
-    ViewSet views = {memo->root()};
-    for (GroupId g : memo->NonLeafGroups()) views.insert(g);
-    MaintainOptions options;
-    options.threads = threads;
-    ViewManager mgr(memo, catalog, &db, options);
-    Status materialized = mgr.Materialize(views);
-    if (!materialized.ok()) {
-      std::printf("  materialize: %s\n", materialized.ToString().c_str());
-      return;
-    }
-    ViewSelector selector(memo, catalog);
-    auto plan = selector.BestTrack(views, txns[0]);
-    if (!plan.ok()) {
-      std::printf("  track: %s\n", plan.status().ToString().c_str());
-      return;
-    }
-    TxnGenerator gen(20260808);
-    double cold_us = 0, warm_us = 0;
-    double cold_ios = 0, warm_ios = 0;
-    double tasks = 0, waves = 0;
-    bool failed = false;
-    for (int call = 0; call < 2; ++call) {
-      auto txn = gen.Generate(txns[0], db);
-      if (!txn.ok()) {
-        std::printf("  generate: %s\n", txn.status().ToString().c_str());
-        failed = true;
-        break;
-      }
-      const int64_t ios_before = db.counter().total();
-      const int64_t tasks_before = tasks_counter->value();
-      const int64_t waves_before = waves_counter->value();
-      const auto start = std::chrono::steady_clock::now();
-      Status applied = mgr.ApplyTransaction(*txn, txns[0], plan->track);
-      const double us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-      if (!applied.ok()) {
-        std::printf("  apply: %s\n", applied.ToString().c_str());
-        failed = true;
-        break;
-      }
-      (call == 0 ? cold_us : warm_us) = us;
-      (call == 0 ? cold_ios : warm_ios) =
-          static_cast<double>(db.counter().total() - ios_before);
-      tasks += static_cast<double>(tasks_counter->value() - tasks_before);
-      waves += static_cast<double>(waves_counter->value() - waves_before);
-    }
-    if (failed) continue;
-    std::map<std::string, std::string> state;
-    for (const std::string& name : db.TableNames()) {
-      state[name] = db.FindTable(name)->Fingerprint();
-    }
-    const std::string label = std::to_string(threads) +
-                              (threads == 1 ? " thread" : " threads");
-    if (baseline.empty()) {
-      baseline = std::move(state);
-    } else if (state != baseline) {
-      // Never expected: propagation is bit-identical for every thread
-      // count. A visible marker beats silently wrong timings.
-      std::printf("  %-34s DIVERGED from the 1-thread state\n",
-                  label.c_str());
-      continue;
-    }
-    PrintRow(label, {cold_us, warm_us, cold_ios, warm_ios, tasks, waves});
-  }
-}
-
 /// Serializes the report (tables + metrics snapshot + wall time) as the
 /// BENCH_<name>.json record described in docs/BENCHMARKING.md.
 inline std::string ReportToJson(const std::string& name,

@@ -41,28 +41,6 @@ void Session::DeclareWorkload(std::vector<TransactionType> txns) {
   workload_ = std::move(txns);
 }
 
-void Session::SetMaintainThreads(int threads) {
-  options_.maintain.threads = threads < 1 ? 1 : threads;
-  if (manager_ != nullptr) {
-    manager_->set_maintain_threads(options_.maintain.threads);
-  }
-}
-
-Status Session::SetShardCount(int shards) {
-  if (prepared()) {
-    return Status::FailedPrecondition("set the shard count before Prepare");
-  }
-  if (shards < 1) return Status::InvalidArgument("shard count must be >= 1");
-  db_.set_shard_count(shards);
-  options_.optimize.cost.shard_fanout = shards;
-  return Status::Ok();
-}
-
-void Session::SetShardKey(const std::string& table,
-                          std::vector<std::string> attrs) {
-  pending_shard_keys_[table] = std::move(attrs);
-}
-
 StatusOr<ExecResult> Session::Execute(const std::string& sql) {
   AUXVIEW_RETURN_IF_ERROR(wal_status_);
   AUXVIEW_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseSql(sql));
@@ -85,15 +63,6 @@ StatusOr<ExecResult> Session::ExecuteOne(const Statement& stmt) {
       AUXVIEW_RETURN_IF_ERROR(binder_.Bind(stmt));
       AUXVIEW_ASSIGN_OR_RETURN(TableDef def,
                                catalog_.GetTable(stmt.create_table->name));
-      auto shard_it = pending_shard_keys_.find(def.name);
-      if (shard_it != pending_shard_keys_.end()) {
-        // Declared via SetShardKey/.shardkey: validate against the bound
-        // schema and record in the catalog before the table is laid out.
-        AUXVIEW_RETURN_IF_ERROR(
-            catalog_.SetShardKey(def.name, shard_it->second));
-        def.shard_key = shard_it->second;
-        pending_shard_keys_.erase(shard_it);
-      }
       AUXVIEW_RETURN_IF_ERROR(db_.CreateTable(std::move(def)).status());
       return ExecResult{};
     }

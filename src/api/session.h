@@ -160,28 +160,6 @@ class Session {
   Catalog& catalog() { return catalog_; }
   const PageCounter& counter() const { return db_.counter(); }
 
-  /// Sets the delta-propagation worker count (>= 1; 1 = sequential).
-  /// Applies to the live ViewManager when prepared and to any manager a
-  /// later Prepare/Recover constructs. Results and charged costs are
-  /// bit-identical for every value (docs/CONCURRENCY.md). The shell's
-  /// .threads command lands here.
-  void SetMaintainThreads(int threads);
-  int maintain_threads() const { return options_.maintain.threads; }
-
-  /// Hash-shards every base relation that declares a shard key across
-  /// `shards` sub-tables, and teaches the optimizer's cost model the same
-  /// fanout. Must run before the first CREATE TABLE (the storage layout is
-  /// fixed at table creation). Results, fingerprints and charged I/O are
-  /// bit-identical for every count (docs/SHARDING.md); the shell's .shards
-  /// command lands here.
-  Status SetShardCount(int shards);
-  int shard_count() const { return db_.shard_count(); }
-
-  /// Declares `attrs` as the shard key of a not-yet-created table — applied
-  /// when its CREATE TABLE executes (the shell's .shardkey command; SQL has
-  /// no shard-key syntax). Attrs are validated against the schema then.
-  void SetShardKey(const std::string& table, std::vector<std::string> attrs);
-
  private:
   StatusOr<ExecResult> ExecuteOne(const Statement& stmt);
   StatusOr<ExecResult> ExecuteSelect(const SelectQuery& query);
@@ -215,8 +193,6 @@ class Session {
   /// the original run and pick different views.
   bool skip_stats_refresh_ = false;
   bool recovering_ = false;
-  /// Shard keys declared via SetShardKey, consumed by CREATE TABLE.
-  std::map<std::string, std::vector<std::string>> pending_shard_keys_;
 
   // Populated by Prepare.
   std::unique_ptr<Memo> memo_;

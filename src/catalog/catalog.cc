@@ -76,20 +76,6 @@ void Catalog::RestoreStats(const StatsSnapshot& snapshot) {
   stats_epoch_ = snapshot.epoch;
 }
 
-Status Catalog::SetShardKey(const std::string& name,
-                            std::vector<std::string> shard_key) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + name);
-  for (const std::string& attr : shard_key) {
-    if (it->second.schema.IndexOf(attr) < 0) {
-      return Status::InvalidArgument("shard key attr missing from schema of " +
-                                     name + ": " + attr);
-    }
-  }
-  it->second.shard_key = std::move(shard_key);
-  return Status::Ok();
-}
-
 Status Catalog::SetStats(const std::string& name, RelationStats stats) {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);

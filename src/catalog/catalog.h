@@ -27,10 +27,6 @@ struct TableDef {
   /// Primary key attributes (may be empty for keyless relations).
   std::vector<std::string> primary_key;
   std::vector<IndexDef> indexes;
-  /// Hash-sharding key (docs/SHARDING.md). Empty = unsharded. Only takes
-  /// effect when the owning Database has a shard count > 1; rows then live
-  /// in the sub-table indexed by hash(projection onto these attributes).
-  std::vector<std::string> shard_key;
   RelationStats stats;
 
   /// True if an index with exactly these attributes (in any order) exists.
@@ -59,12 +55,6 @@ class Catalog {
 
   /// Replaces the statistics of an existing table.
   Status SetStats(const std::string& name, RelationStats stats);
-
-  /// Designates the hash-sharding key of an existing table; every attribute
-  /// must exist in its schema. Does not bump the stats epoch (sharding never
-  /// changes logical contents or charged costs — docs/SHARDING.md).
-  Status SetShardKey(const std::string& name,
-                     std::vector<std::string> shard_key);
 
   /// Monotonic version of the catalog's cost-relevant contents; bumped by
   /// every AddTable and SetStats. Consumers that cache values derived from

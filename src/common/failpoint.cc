@@ -23,7 +23,6 @@ constexpr const char* kCatalog[] = {
     "wal.append.partial",          // WAL append: torn half-written frame
     "wal.fsync.fail",              // WAL append: fsync failure after write
     "wal.checkpoint.mid",          // WAL checkpoint: between tmp and rename
-    "pool.task.fail",              // WorkerPool task execution, before body
 };
 
 /// splitmix64 step (matches common/rng.h; kept local so the registry does

@@ -1,8 +1,9 @@
 #include "delta/locality.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "algebra/expr.h"
 
@@ -14,40 +15,7 @@ std::set<std::string> ToSet(const std::vector<std::string>& attrs) {
   return std::set<std::string>(attrs.begin(), attrs.end());
 }
 
-bool Subset(const std::vector<std::string>& small,
-            const std::vector<std::string>& big) {
-  for (const std::string& a : small) {
-    if (std::find(big.begin(), big.end(), a) == big.end()) return false;
-  }
-  return true;
-}
-
-std::string AttrList(const std::vector<std::string>& attrs) {
-  std::string out = "(";
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += attrs[i];
-  }
-  return out + ")";
-}
-
-TrackLocality Worst(TrackLocality a, TrackLocality b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-
 }  // namespace
-
-const char* TrackLocalityName(TrackLocality locality) {
-  switch (locality) {
-    case TrackLocality::kSelfMaintainable:
-      return "self-maintainable";
-    case TrackLocality::kKeyLocal:
-      return "key-local";
-    case TrackLocality::kCrossShard:
-      return "cross-shard";
-  }
-  return "unknown";
-}
 
 struct LocalityClassifier::ClassifyState {
   const UpdateTrack* track = nullptr;
@@ -55,11 +23,8 @@ struct LocalityClassifier::ClassifyState {
   const TransactionType* type = nullptr;
   std::set<GroupId> affected;
   std::map<GroupId, DeltaInfo> static_deltas;
-  /// Memoized fetch localities, keyed by "<group>|attr,attr,...".
-  std::map<std::string, TrackLocality> fetch_memo;
-  std::map<GroupId, std::vector<std::string>> alignments;
-  std::set<GroupId> alignment_in_progress;
-  TrackLocalityReport report;
+  /// Memoized FetchReachesBase answers.
+  std::map<GroupId, bool> reaches_base;
 };
 
 StatusOr<DeltaInfo> LocalityClassifier::StaticDeltaOf(
@@ -98,233 +63,35 @@ StatusOr<DeltaInfo> LocalityClassifier::StaticDeltaOf(
   return info;
 }
 
-StatusOr<TrackLocality> LocalityClassifier::FetchLocality(
-    GroupId g, const std::vector<std::string>& attrs,
-    ClassifyState& state) const {
+bool LocalityClassifier::FetchReachesBase(GroupId g,
+                                          ClassifyState& state) const {
   g = memo_->Find(g);
-  std::string memo_key = std::to_string(g) + "|";
-  for (const std::string& a : attrs) memo_key += a + ",";
-  auto hit = state.fetch_memo.find(memo_key);
-  if (hit != state.fetch_memo.end()) return hit->second;
-
+  auto hit = state.reaches_base.find(g);
+  if (hit != state.reaches_base.end()) return hit->second;
   const MemoGroup& grp = memo_->group(g);
-  TrackLocality result = TrackLocality::kSelfMaintainable;
-  if (state.marked.count(g) > 0 && !grp.is_leaf) {
-    // Probe of a materialized aux view — reads already-maintained state,
-    // never a base relation.
-    state.report.notes.push_back("fetch N" + std::to_string(g) + " " +
-                                 AttrList(attrs) +
-                                 ": materialized view probe");
-  } else if (grp.is_leaf) {
-    const TableDef* def = catalog_->FindTable(grp.table);
-    if (def == nullptr) {
-      return Status::NotFound("relation missing from catalog: " + grp.table);
-    }
-    if (def->shard_key.empty()) {
-      result = TrackLocality::kCrossShard;
-      state.report.notes.push_back("fetch base " + grp.table + " " +
-                                   AttrList(attrs) +
-                                   ": relation unsharded -> cross-shard");
-    } else if (attrs.empty()) {
-      result = TrackLocality::kCrossShard;
-      state.report.notes.push_back("fetch base " + grp.table +
-                                   ": full scan -> cross-shard");
-    } else if (Subset(def->shard_key, attrs)) {
-      result = TrackLocality::kKeyLocal;
-      state.report.notes.push_back("fetch base " + grp.table + " " +
-                                   AttrList(attrs) +
-                                   ": equality covers shard key " +
-                                   AttrList(def->shard_key) + " -> key-local");
-    } else {
-      result = TrackLocality::kCrossShard;
-      state.report.notes.push_back("fetch base " + grp.table + " " +
-                                   AttrList(attrs) +
-                                   ": probe below shard key " +
-                                   AttrList(def->shard_key) +
-                                   " -> cross-shard");
-    }
-  } else {
+  // A base relation is read directly; a materialized aux view answers by
+  // its own probe and never reaches below itself.
+  bool reaches = grp.is_leaf;
+  if (!grp.is_leaf && state.marked.count(g) == 0) {
     // Unmaterialized view: the runtime answers through the cheapest live
     // candidate's push-down, a choice that depends on live statistics —
-    // take the worst over every candidate it could pick. Memoize before
-    // descending: the memo DAG is acyclic, and the pre-inserted value only
-    // serves identical (group, attrs) re-queries, whose push-downs repeat.
-    state.fetch_memo[memo_key] = TrackLocality::kSelfMaintainable;
+    // any candidate reaching a base relation taints the group. Memoize
+    // before descending: the memo DAG is acyclic, and the pre-inserted
+    // value only serves re-queries of this group.
+    state.reaches_base[g] = false;
     for (int eid : grp.exprs) {
       const MemoExpr& e = memo_->expr(eid);
       if (e.dead) continue;
-      TrackLocality cand = TrackLocality::kSelfMaintainable;
-      switch (e.kind()) {
-        case OpKind::kScan:
-          continue;  // never a member of a non-leaf group
-        case OpKind::kSelect:
-        case OpKind::kDupElim: {
-          AUXVIEW_ASSIGN_OR_RETURN(
-              cand, FetchLocality(e.inputs[0], attrs, state));
-          break;
-        }
-        case OpKind::kProject: {
-          std::set<std::string> passthrough;
-          for (const ProjectItem& item : e.op->projections()) {
-            if (item.expr->op() == ScalarOp::kColumn &&
-                item.expr->column_name() == item.name) {
-              passthrough.insert(item.name);
-            }
-          }
-          const bool pushable = std::all_of(
-              attrs.begin(), attrs.end(),
-              [&](const std::string& a) { return passthrough.count(a) > 0; });
-          AUXVIEW_ASSIGN_OR_RETURN(
-              cand, FetchLocality(e.inputs[0],
-                                  pushable ? attrs
-                                           : std::vector<std::string>{},
-                                  state));
-          break;
-        }
-        case OpKind::kJoin: {
-          const GroupId left = memo_->Find(e.inputs[0]);
-          const GroupId right = memo_->Find(e.inputs[1]);
-          int side = -1;
-          for (int candidate = 0; candidate < 2 && !attrs.empty();
-               ++candidate) {
-            const GroupId x = candidate == 0 ? left : right;
-            const Schema& xs = memo_->group(x).schema;
-            if (std::all_of(
-                    attrs.begin(), attrs.end(),
-                    [&](const std::string& a) { return xs.Contains(a); })) {
-              side = candidate;
-              break;
-            }
-          }
-          if (attrs.empty() || side < 0) {
-            AUXVIEW_ASSIGN_OR_RETURN(
-                TrackLocality l, FetchLocality(left, {}, state));
-            AUXVIEW_ASSIGN_OR_RETURN(
-                TrackLocality r, FetchLocality(right, {}, state));
-            cand = Worst(l, r);
-          } else {
-            const GroupId x = side == 0 ? left : right;
-            const GroupId y = side == 0 ? right : left;
-            AUXVIEW_ASSIGN_OR_RETURN(
-                TrackLocality lx, FetchLocality(x, attrs, state));
-            AUXVIEW_ASSIGN_OR_RETURN(
-                TrackLocality ly,
-                FetchLocality(y, e.op->join_attrs(), state));
-            cand = Worst(lx, ly);
-          }
-          break;
-        }
-        case OpKind::kAggregate: {
-          const std::set<std::string> gb = ToSet(e.op->group_by());
-          const bool pushable =
-              !attrs.empty() &&
-              std::all_of(attrs.begin(), attrs.end(),
-                          [&](const std::string& a) {
-                            return gb.count(a) > 0;
-                          });
-          AUXVIEW_ASSIGN_OR_RETURN(
-              cand, FetchLocality(e.inputs[0],
-                                  pushable ? attrs
-                                           : std::vector<std::string>{},
-                                  state));
-          break;
-        }
-      }
-      result = Worst(result, cand);
-    }
-  }
-  state.fetch_memo[memo_key] = result;
-  return result;
-}
-
-StatusOr<std::vector<std::string>> LocalityClassifier::AlignmentOf(
-    GroupId g, ClassifyState& state) const {
-  g = memo_->Find(g);
-  auto hit = state.alignments.find(g);
-  if (hit != state.alignments.end()) return hit->second;
-  const MemoGroup& grp = memo_->group(g);
-  std::vector<std::string> align;
-  if (grp.is_leaf) {
-    const TableDef* def = catalog_->FindTable(grp.table);
-    if (def == nullptr) {
-      return Status::NotFound("relation missing from catalog: " + grp.table);
-    }
-    align = def->shard_key;
-  } else if (state.affected.count(g) > 0) {
-    auto choice_it = state.track->choice.find(g);
-    if (choice_it == state.track->choice.end()) {
-      return Status::Internal("affected group off-track: N" +
-                              std::to_string(g));
-    }
-    const MemoExpr& e = memo_->expr(choice_it->second);
-    switch (e.kind()) {
-      case OpKind::kScan:
-        return Status::Internal("scan operation node off a leaf group");
-      case OpKind::kSelect:
-      case OpKind::kDupElim: {
-        AUXVIEW_ASSIGN_OR_RETURN(align, AlignmentOf(e.inputs[0], state));
-        break;
-      }
-      case OpKind::kProject: {
-        AUXVIEW_ASSIGN_OR_RETURN(align, AlignmentOf(e.inputs[0], state));
-        for (const std::string& a : align) {
-          if (!grp.schema.Contains(a)) {
-            state.report.notes.push_back(
-                "N" + std::to_string(g) + " project drops alignment attr " +
-                a);
-            align.clear();
-            break;
-          }
-        }
-        break;
-      }
-      case OpKind::kAggregate: {
-        AUXVIEW_ASSIGN_OR_RETURN(align, AlignmentOf(e.inputs[0], state));
-        if (align.empty() || !Subset(align, e.op->group_by())) {
-          if (!align.empty()) {
-            state.report.notes.push_back(
-                "N" + std::to_string(g) + " aggregate group-by " +
-                AttrList(e.op->group_by()) + " does not cover alignment " +
-                AttrList(align));
-          }
-          align.clear();
-        }
-        break;
-      }
-      case OpKind::kJoin: {
-        const GroupId left = memo_->Find(e.inputs[0]);
-        const GroupId right = memo_->Find(e.inputs[1]);
-        const bool l_aff = state.affected.count(left) > 0;
-        const bool r_aff = state.affected.count(right) > 0;
-        if (l_aff && r_aff) {
-          AUXVIEW_ASSIGN_OR_RETURN(std::vector<std::string> al,
-                                   AlignmentOf(left, state));
-          AUXVIEW_ASSIGN_OR_RETURN(std::vector<std::string> ar,
-                                   AlignmentOf(right, state));
-          // The delta-x-delta term pairs rows across both inputs, which
-          // colocate exactly when both sides hash the same attribute list
-          // and the join equates it.
-          if (!al.empty() && al == ar && Subset(al, e.op->join_attrs())) {
-            align = al;
-          } else {
-            state.report.notes.push_back(
-                "N" + std::to_string(g) +
-                " join of two affected inputs breaks alignment");
-          }
-        } else if (l_aff) {
-          AUXVIEW_ASSIGN_OR_RETURN(align, AlignmentOf(left, state));
-        } else if (r_aff) {
-          AUXVIEW_ASSIGN_OR_RETURN(align, AlignmentOf(right, state));
-        }
-        break;
+      for (GroupId in : e.inputs) {
+        if (FetchReachesBase(in, state)) reaches = true;
       }
     }
   }
-  state.alignments[g] = align;
-  return align;
+  state.reaches_base[g] = reaches;
+  return reaches;
 }
 
-StatusOr<TrackLocalityReport> LocalityClassifier::Classify(
+StatusOr<bool> LocalityClassifier::SelfMaintainable(
     const UpdateTrack& track, const ViewSet& marked,
     const TransactionType& type) const {
   ClassifyState state;
@@ -332,15 +99,15 @@ StatusOr<TrackLocalityReport> LocalityClassifier::Classify(
   state.type = &type;
   for (GroupId g : marked) state.marked.insert(memo_->Find(g));
   state.affected = delta_->AffectedGroups(type);
-  TrackLocalityReport& report = state.report;
 
   // Every fetch the runtime propagation can issue, walked off the chosen
   // operation nodes exactly as DeltaEngine's delta kernels issue them.
-  bool decomposable = true;
+  bool self_maintainable = true;
   for (const auto& [raw_g, eid] : track.choice) {
     const GroupId g = memo_->Find(raw_g);
     if (state.affected.count(g) == 0 || memo_->group(g).is_leaf) continue;
     const MemoExpr& e = memo_->expr(eid);
+    std::vector<GroupId> fetched;
     switch (e.kind()) {
       case OpKind::kScan:
         return Status::Internal("scan operation node off a leaf group");
@@ -348,20 +115,11 @@ StatusOr<TrackLocalityReport> LocalityClassifier::Classify(
       case OpKind::kProject:
         break;  // pure delta rewrites, no fetch
       case OpKind::kJoin: {
+        // Each affected side's delta fetches its partners from the other.
         const GroupId left = memo_->Find(e.inputs[0]);
         const GroupId right = memo_->Find(e.inputs[1]);
-        if (state.affected.count(left) > 0) {
-          AUXVIEW_ASSIGN_OR_RETURN(
-              TrackLocality l,
-              FetchLocality(right, e.op->join_attrs(), state));
-          report.locality = Worst(report.locality, l);
-        }
-        if (state.affected.count(right) > 0) {
-          AUXVIEW_ASSIGN_OR_RETURN(
-              TrackLocality l,
-              FetchLocality(left, e.op->join_attrs(), state));
-          report.locality = Worst(report.locality, l);
-        }
+        if (state.affected.count(left) > 0) fetched.push_back(right);
+        if (state.affected.count(right) > 0) fetched.push_back(left);
         break;
       }
       case OpKind::kAggregate: {
@@ -373,56 +131,22 @@ StatusOr<TrackLocalityReport> LocalityClassifier::Classify(
             child_static.CompleteWithin(ToSet(e.op->group_by()));
         const bool needs_query =
             delta_->AggregateNeedsQuery(e, child_static, materialized);
-        if (complete) {
-          report.notes.push_back("N" + std::to_string(g) +
-                                 " aggregate: group-complete delta, no fetch");
-        } else if (!needs_query && materialized) {
-          report.notes.push_back(
-              "N" + std::to_string(g) +
-              " aggregate: self-maintained via own view probe");
-        } else {
-          AUXVIEW_ASSIGN_OR_RETURN(
-              TrackLocality l,
-              FetchLocality(input, e.op->group_by(), state));
-          report.locality = Worst(report.locality, l);
+        // A group-complete delta needs no fetch, and self-maintenance reads
+        // only the view's own rows; the query path fetches the input.
+        if (!complete && (needs_query || !materialized)) {
+          fetched.push_back(input);
         }
         break;
       }
-      case OpKind::kDupElim: {
-        const GroupId input = memo_->Find(e.inputs[0]);
-        const Schema& in_schema = memo_->group(input).schema;
-        std::vector<std::string> attrs;
-        attrs.reserve(static_cast<size_t>(in_schema.num_columns()));
-        for (int c = 0; c < in_schema.num_columns(); ++c) {
-          attrs.push_back(in_schema.column(c).name);
-        }
-        AUXVIEW_ASSIGN_OR_RETURN(TrackLocality l,
-                                 FetchLocality(input, attrs, state));
-        report.locality = Worst(report.locality, l);
+      case OpKind::kDupElim:
+        fetched.push_back(memo_->Find(e.inputs[0]));
         break;
-      }
     }
-    AUXVIEW_ASSIGN_OR_RETURN(std::vector<std::string> align,
-                             AlignmentOf(g, state));
-    if (align.empty()) decomposable = false;
-  }
-
-  // Per-shard seeding partitions every updated relation's delta by its
-  // shard key; an unsharded updated relation has no partition.
-  for (const UpdateSpec& spec : type.updates) {
-    const TableDef* def = catalog_->FindTable(spec.relation);
-    if (def == nullptr) {
-      return Status::NotFound("relation missing from catalog: " +
-                              spec.relation);
-    }
-    if (def->shard_key.empty()) {
-      decomposable = false;
-      report.notes.push_back("updated relation " + spec.relation +
-                             " is unsharded: not decomposable");
+    for (GroupId f : fetched) {
+      if (FetchReachesBase(f, state)) self_maintainable = false;
     }
   }
-  report.decomposable = decomposable;
-  return report;
+  return self_maintainable;
 }
 
 }  // namespace auxview

@@ -1,9 +1,6 @@
 #ifndef AUXVIEW_DELTA_LOCALITY_H_
 #define AUXVIEW_DELTA_LOCALITY_H_
 
-#include <string>
-#include <vector>
-
 #include "catalog/catalog.h"
 #include "delta/analysis.h"
 #include "delta/transaction.h"
@@ -13,74 +10,39 @@
 
 namespace auxview {
 
-/// Where an update track's maintenance work can run when base relations are
-/// hash-sharded (docs/SHARDING.md). The labels form a lattice
-/// kSelfMaintainable < kKeyLocal < kCrossShard; a track's label is the worst
-/// label any of its fetches earns.
-enum class TrackLocality {
-  /// Propagation touches no base relation: every value it reads comes from
-  /// the transaction's delta or from already-materialized aux views. The
-  /// delta engine asserts this at runtime — a self-maintainable track that
-  /// issues a base-relation fetch is a CHECK failure, so the static verdict
-  /// is proven sound on every maintained transaction.
-  kSelfMaintainable = 0,
-  /// Base relations are fetched, but only through equality probes whose
-  /// attributes cover the probed relation's shard key — each probe resolves
-  /// within one shard.
-  kKeyLocal = 1,
-  /// At least one fetch scans a relation, probes below its shard key, or
-  /// reaches an unsharded relation.
-  kCrossShard = 2,
-};
-
-const char* TrackLocalityName(TrackLocality locality);
-
-struct TrackLocalityReport {
-  TrackLocality locality = TrackLocality::kSelfMaintainable;
-  /// True when the transaction's delta can be partitioned by shard and
-  /// propagated through this track independently per shard: every updated
-  /// relation is sharded and every affected non-leaf node on the track
-  /// keeps a nonempty alignment — a shard-key attribute list, inherited from
-  /// the updated leaves, that colocates all delta rows of one aggregate
-  /// group / distinct row / join match in a single shard. The engine runs a
-  /// track per-shard iff decomposable and not cross-shard.
-  bool decomposable = false;
-  /// One line per classification step (fetch sites, aggregate branch
-  /// decisions, alignment breaks) — explain/debug output.
-  std::vector<std::string> notes;
-};
-
-/// Static classifier for update tracks over sharded storage. Mirrors the
-/// exact complete/self-maintenance/query branch decisions and fetch
-/// push-downs the DeltaEngine takes at runtime (same DeltaAnalysis
-/// machinery), so the verdict is a sound over-approximation of the fetches a
-/// maintained transaction of this type can issue: where the runtime picks
-/// the cheapest push-down plan by live statistics, the classifier takes the
-/// worst label over every live candidate.
+/// Static self-maintainability classifier for update tracks (PAPERS.md,
+/// "Efficiency Analysis of Materialized views in DataWarehouse Using
+/// self-maintenance"). A track is self-maintainable for a transaction type
+/// when propagating it touches no base relation: every value it reads comes
+/// from the transaction's delta or from already-materialized aux views.
+///
+/// Mirrors the exact complete/self-maintenance/query branch decisions and
+/// fetch push-downs the DeltaEngine takes at runtime (same DeltaAnalysis
+/// machinery), so the verdict is sound: where the runtime picks the cheapest
+/// push-down plan by live statistics, the classifier requires every live
+/// candidate to stay off base relations. The DeltaEngine re-proves a
+/// positive verdict on every transaction — a self-maintainable track that
+/// issues a base-relation fetch is a CHECK failure.
 class LocalityClassifier {
  public:
   LocalityClassifier(const Memo* memo, const Catalog* catalog,
                      DeltaAnalysis* delta)
       : memo_(memo), catalog_(catalog), delta_(delta) {}
 
-  StatusOr<TrackLocalityReport> Classify(const UpdateTrack& track,
-                                         const ViewSet& marked,
-                                         const TransactionType& type) const;
+  StatusOr<bool> SelfMaintainable(const UpdateTrack& track,
+                                  const ViewSet& marked,
+                                  const TransactionType& type) const;
 
  private:
   struct ClassifyState;
 
   StatusOr<DeltaInfo> StaticDeltaOf(GroupId g, ClassifyState& state) const;
-  /// The locality of answering FetchMatchingBatch(g, attrs, ...) — the
-  /// runtime push-down of delta_engine.cc's FetchUncached, taken over every
-  /// live candidate operation node.
-  StatusOr<TrackLocality> FetchLocality(GroupId g,
-                                        const std::vector<std::string>& attrs,
-                                        ClassifyState& state) const;
-  /// The alignment attribute list of group `g`'s per-shard delta (empty =
-  /// none survives to this node).
-  StatusOr<std::vector<std::string>> AlignmentOf(GroupId g,
-                                                 ClassifyState& state) const;
+  /// Whether answering a fetch on group `g` — the runtime push-down of
+  /// delta_engine.cc's FetchUncached, taken over every live candidate
+  /// operation node — can read a base relation. Every push-down fetches
+  /// all inputs of its operation node, so the answer does not depend on
+  /// the probe attributes.
+  bool FetchReachesBase(GroupId g, ClassifyState& state) const;
 
   const Memo* memo_;
   const Catalog* catalog_;

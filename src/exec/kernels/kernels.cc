@@ -1,11 +1,8 @@
 #include "exec/kernels/kernels.h"
 
-#include <atomic>
-#include <functional>
 #include <utility>
 
 #include "common/check.h"
-#include "common/worker_pool.h"
 #include "obs/metrics.h"
 
 namespace auxview {
@@ -58,87 +55,11 @@ struct GroupState {
   std::vector<int64_t> nonnull_count;  // per-agg count of non-null args
 };
 
-// ---- Partitioned-execution configuration (see kernels.h) -------------------
+}  // namespace
 
-std::atomic<int64_t> g_partition_min_rows{0};
-std::atomic<int> g_partition_count{4};
-
-obs::Counter* PartitionsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("maintain.pool.partitions");
-  return c;
-}
-
-/// Should a kernel with `rows` input entries partition? A pure function of
-/// the configuration and the input, never the pool size.
-bool ShouldPartition(int64_t rows) {
-  const int64_t min_rows = g_partition_min_rows.load(std::memory_order_relaxed);
-  return min_rows > 0 && rows >= min_rows &&
-         g_partition_count.load(std::memory_order_relaxed) > 1;
-}
-
-/// Splits into contiguous chunks of near-equal entry counts; concatenating
-/// the outputs in partition order is entry-for-entry identical to running
-/// the kernel unpartitioned (filter/project are entry-local).
-std::vector<RowBatch> SplitChunks(const RowBatch& input, int p) {
-  std::vector<RowBatch> parts;
-  parts.reserve(static_cast<size_t>(p));
-  const int64_t n = input.num_rows();
-  for (int i = 0; i < p; ++i) {
-    const int64_t begin = n * i / p;
-    const int64_t end = n * (i + 1) / p;
-    RowBatch part(input.schema());
-    part.Reserve(end - begin);
-    for (int64_t j = begin; j < end; ++j) {
-      part.Append(input.row(j), input.count(j));
-    }
-    parts.push_back(std::move(part));
-  }
-  return parts;
-}
-
-/// Splits by hash of the `key_cols` projection: rows with equal keys land in
-/// the same partition and keep their relative order.
-std::vector<RowBatch> SplitByHash(const RowBatch& input,
-                                  const std::vector<int>& key_cols, int p) {
-  std::vector<RowBatch> parts(static_cast<size_t>(p), RowBatch(input.schema()));
-  const RowHash hasher;
-  Row key;
-  for (int64_t i = 0; i < input.num_rows(); ++i) {
-    const RowRef row = input.row(i);
-    key.clear();
-    key.reserve(key_cols.size());
-    for (int c : key_cols) key.push_back(row[c]);
-    parts[hasher(key) % static_cast<size_t>(p)].Append(row, input.count(i));
-  }
-  return parts;
-}
-
-/// Runs `fn` over every partition on the shared pool and concatenates the
-/// outputs by partition index (the deterministic merge).
-StatusOr<RowBatch> RunPartitions(
-    const Expr& expr, const std::vector<RowBatch>& parts,
-    const std::function<StatusOr<RowBatch>(const Expr&, const RowBatch&)>& fn) {
-  std::vector<RowBatch> outs(parts.size(), RowBatch(expr.output_schema()));
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(parts.size());
-  for (size_t i = 0; i < parts.size(); ++i) {
-    tasks.push_back([&expr, &parts, &outs, &fn, i]() -> Status {
-      AUXVIEW_ASSIGN_OR_RETURN(outs[i], fn(expr, parts[i]));
-      return Status::Ok();
-    });
-  }
-  PartitionsCounter()->Add(static_cast<int64_t>(parts.size()));
-  AUXVIEW_RETURN_IF_ERROR(WorkerPool::Shared().RunAll(std::move(tasks)));
-  int64_t total = 0;
-  for (const RowBatch& o : outs) total += o.num_rows();
-  RowBatch merged(expr.output_schema());
-  merged.Reserve(total);
-  for (const RowBatch& o : outs) merged.AppendBatch(o);
-  return merged;
-}
-
-StatusOr<RowBatch> FilterSeq(const Expr& expr, const RowBatch& input) {
+StatusOr<RowBatch> Filter(const Expr& expr, const RowBatch& input) {
+  static const KernelMetrics metrics = KernelMetrics::Resolve("filter");
+  KernelScope scope(metrics);
   RowBatch out(expr.output_schema());
   const Schema& schema = input.schema();
   for (int64_t i = 0; i < input.num_rows(); ++i) {
@@ -146,10 +67,13 @@ StatusOr<RowBatch> FilterSeq(const Expr& expr, const RowBatch& input) {
     AUXVIEW_ASSIGN_OR_RETURN(Value v, expr.predicate()->Eval(row, schema));
     if (!v.is_null() && v.boolean()) out.Append(input.row(i), input.count(i));
   }
+  metrics.rows->Add(out.num_rows());
   return out;
 }
 
-StatusOr<RowBatch> ProjectSeq(const Expr& expr, const RowBatch& input) {
+StatusOr<RowBatch> Project(const Expr& expr, const RowBatch& input) {
+  static const KernelMetrics metrics = KernelMetrics::Resolve("project");
+  KernelScope scope(metrics);
   RowBatch out(expr.output_schema());
   out.Reserve(input.num_rows());
   const Schema& schema = input.schema();
@@ -164,11 +88,14 @@ StatusOr<RowBatch> ProjectSeq(const Expr& expr, const RowBatch& input) {
     }
     out.Append(projected, input.count(i));
   }
+  metrics.rows->Add(out.num_rows());
   return out;
 }
 
-StatusOr<RowBatch> HashJoinSeq(const Expr& expr, const RowBatch& left,
-                               const RowBatch& right) {
+StatusOr<RowBatch> HashJoin(const Expr& expr, const RowBatch& left,
+                            const RowBatch& right) {
+  static const KernelMetrics metrics = KernelMetrics::Resolve("hash_join");
+  KernelScope scope(metrics);
   RowBatch out(expr.output_schema());
   const std::vector<int> l_key_cols =
       ResolveColumns(left.schema(), expr.join_attrs());
@@ -201,11 +128,13 @@ StatusOr<RowBatch> HashJoinSeq(const Expr& expr, const RowBatch& left,
                        left.count(i) * right.count(j));
     }
   }
+  metrics.rows->Add(out.num_rows());
   return out;
 }
 
-StatusOr<RowBatch> GroupedAggregateSeq(const Expr& expr,
-                                       const RowBatch& input) {
+StatusOr<RowBatch> GroupedAggregate(const Expr& expr, const RowBatch& input) {
+  static const KernelMetrics metrics = KernelMetrics::Resolve("aggregate");
+  KernelScope scope(metrics);
   RowBatch out(expr.output_schema());
   const Schema& schema = input.schema();
   const std::vector<int> group_cols = ResolveColumns(schema, expr.group_by());
@@ -295,10 +224,13 @@ StatusOr<RowBatch> GroupedAggregateSeq(const Expr& expr,
     }
     out.Append(row, 1);
   }
+  metrics.rows->Add(out.num_rows());
   return out;
 }
 
-StatusOr<RowBatch> DupElimSeq(const Expr& expr, const RowBatch& input) {
+StatusOr<RowBatch> DupElim(const Expr& expr, const RowBatch& input) {
+  static const KernelMetrics metrics = KernelMetrics::Resolve("dup_elim");
+  KernelScope scope(metrics);
   RowBatch out(expr.output_schema());
   // Coalesce first: a batch may carry the same row in several entries
   // (including +n/-n pairs that cancel), and dup-elim is defined on the
@@ -318,26 +250,8 @@ StatusOr<RowBatch> DupElimSeq(const Expr& expr, const RowBatch& input) {
     }
     if (total > 0) out.Append(*row, 1);
   }
+  metrics.rows->Add(out.num_rows());
   return out;
-}
-
-}  // namespace
-
-void SetPartitionMinRows(int64_t min_rows) {
-  g_partition_min_rows.store(min_rows < 0 ? 0 : min_rows,
-                             std::memory_order_relaxed);
-}
-
-int64_t PartitionMinRows() {
-  return g_partition_min_rows.load(std::memory_order_relaxed);
-}
-
-void SetPartitionCount(int count) {
-  g_partition_count.store(count < 1 ? 1 : count, std::memory_order_relaxed);
-}
-
-int PartitionCount() {
-  return g_partition_count.load(std::memory_order_relaxed);
 }
 
 std::vector<int> ResolveColumns(const Schema& schema,
@@ -367,117 +281,6 @@ HashIndex::HashIndex(const RowBatch* batch, std::vector<int> key_cols)
 const std::vector<int64_t>* HashIndex::Probe(const Row& key) const {
   auto it = map_.find(key);
   return it == map_.end() ? nullptr : &it->second;
-}
-
-StatusOr<RowBatch> Filter(const Expr& expr, const RowBatch& input) {
-  static const KernelMetrics metrics = KernelMetrics::Resolve("filter");
-  KernelScope scope(metrics);
-  RowBatch out(expr.output_schema());
-  if (ShouldPartition(input.num_rows())) {
-    AUXVIEW_ASSIGN_OR_RETURN(
-        out, RunPartitions(expr, SplitChunks(input, PartitionCount()),
-                           &FilterSeq));
-  } else {
-    AUXVIEW_ASSIGN_OR_RETURN(out, FilterSeq(expr, input));
-  }
-  metrics.rows->Add(out.num_rows());
-  return out;
-}
-
-StatusOr<RowBatch> Project(const Expr& expr, const RowBatch& input) {
-  static const KernelMetrics metrics = KernelMetrics::Resolve("project");
-  KernelScope scope(metrics);
-  RowBatch out(expr.output_schema());
-  if (ShouldPartition(input.num_rows())) {
-    AUXVIEW_ASSIGN_OR_RETURN(
-        out, RunPartitions(expr, SplitChunks(input, PartitionCount()),
-                           &ProjectSeq));
-  } else {
-    AUXVIEW_ASSIGN_OR_RETURN(out, ProjectSeq(expr, input));
-  }
-  metrics.rows->Add(out.num_rows());
-  return out;
-}
-
-StatusOr<RowBatch> HashJoin(const Expr& expr, const RowBatch& left,
-                            const RowBatch& right) {
-  static const KernelMetrics metrics = KernelMetrics::Resolve("hash_join");
-  KernelScope scope(metrics);
-  RowBatch out(expr.output_schema());
-  // Co-partition both sides by join-key hash: matching rows share a
-  // partition, so the partitioned join computes exactly the unpartitioned
-  // result set. Cross joins (no join attrs) stay sequential.
-  if (!expr.join_attrs().empty() &&
-      (ShouldPartition(left.num_rows()) || ShouldPartition(right.num_rows()))) {
-    const int p = PartitionCount();
-    const std::vector<RowBatch> l_parts = SplitByHash(
-        left, ResolveColumns(left.schema(), expr.join_attrs()), p);
-    const std::vector<RowBatch> r_parts = SplitByHash(
-        right, ResolveColumns(right.schema(), expr.join_attrs()), p);
-    std::vector<RowBatch> outs(static_cast<size_t>(p),
-                               RowBatch(expr.output_schema()));
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(static_cast<size_t>(p));
-    for (int i = 0; i < p; ++i) {
-      tasks.push_back([&expr, &l_parts, &r_parts, &outs, i]() -> Status {
-        AUXVIEW_ASSIGN_OR_RETURN(
-            outs[static_cast<size_t>(i)],
-            HashJoinSeq(expr, l_parts[static_cast<size_t>(i)],
-                        r_parts[static_cast<size_t>(i)]));
-        return Status::Ok();
-      });
-    }
-    PartitionsCounter()->Add(p);
-    AUXVIEW_RETURN_IF_ERROR(WorkerPool::Shared().RunAll(std::move(tasks)));
-    for (const RowBatch& o : outs) out.AppendBatch(o);
-  } else {
-    AUXVIEW_ASSIGN_OR_RETURN(out, HashJoinSeq(expr, left, right));
-  }
-  metrics.rows->Add(out.num_rows());
-  return out;
-}
-
-StatusOr<RowBatch> GroupedAggregate(const Expr& expr, const RowBatch& input) {
-  static const KernelMetrics metrics = KernelMetrics::Resolve("aggregate");
-  KernelScope scope(metrics);
-  RowBatch out(expr.output_schema());
-  // Partition by group-key hash: a group's rows stay together and in order,
-  // so every group accumulates exactly as it would unpartitioned. A global
-  // aggregate (no group-by) is one group and stays sequential.
-  if (!expr.group_by().empty() && ShouldPartition(input.num_rows())) {
-    const std::vector<int> group_cols =
-        ResolveColumns(input.schema(), expr.group_by());
-    AUXVIEW_ASSIGN_OR_RETURN(
-        out, RunPartitions(expr,
-                           SplitByHash(input, group_cols, PartitionCount()),
-                           &GroupedAggregateSeq));
-  } else {
-    AUXVIEW_ASSIGN_OR_RETURN(out, GroupedAggregateSeq(expr, input));
-  }
-  metrics.rows->Add(out.num_rows());
-  return out;
-}
-
-StatusOr<RowBatch> DupElim(const Expr& expr, const RowBatch& input) {
-  static const KernelMetrics metrics = KernelMetrics::Resolve("dup_elim");
-  KernelScope scope(metrics);
-  RowBatch out(expr.output_schema());
-  // Partition by whole-row hash: all copies of a row share a partition, so
-  // per-row totals (and the negative-total check) are complete per
-  // partition.
-  if (input.width() > 0 && ShouldPartition(input.num_rows())) {
-    std::vector<int> all_cols;
-    all_cols.reserve(static_cast<size_t>(input.width()));
-    for (int c = 0; c < input.width(); ++c) all_cols.push_back(c);
-    AUXVIEW_ASSIGN_OR_RETURN(
-        out, RunPartitions(expr,
-                           SplitByHash(input, all_cols, PartitionCount()),
-                           &DupElimSeq));
-  } else {
-    AUXVIEW_ASSIGN_OR_RETURN(out, DupElimSeq(expr, input));
-  }
-  metrics.rows->Add(out.num_rows());
-  return out;
 }
 
 StatusOr<RowBatch> ApplyUnary(const Expr& expr, const RowBatch& input) {

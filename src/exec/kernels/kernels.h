@@ -71,31 +71,6 @@ StatusOr<RowBatch> DupElim(const Expr& expr, const RowBatch& input);
 /// `expr` to `input` — the dispatch both consumers share.
 StatusOr<RowBatch> ApplyUnary(const Expr& expr, const RowBatch& input);
 
-/// ---- Hash-partitioned execution -------------------------------------------
-///
-/// When enabled (min-rows threshold > 0) and an input batch has at least
-/// that many entries, the kernels split the work into PartitionCount()
-/// partitions — contiguous chunks for filter/project, key-hash partitions
-/// for join (join attrs), aggregate (group-by attrs) and dup-elim (whole
-/// row) — run the partitions through WorkerPool::Shared(), and concatenate
-/// the outputs by partition index. The partition count and every row's
-/// partition assignment are pure functions of the batch and this
-/// configuration, never of the pool's worker count, so results are
-/// bit-identical for any parallelism (same-key rows share a partition and
-/// keep their relative order, which preserves per-group accumulation order).
-/// Partition subtasks are counted in `maintain.pool.partitions`.
-///
-/// Disabled by default (threshold 0): the single-partition path is
-/// byte-identical to the pre-partitioning kernels.
-
-/// Minimum batch entries before a kernel partitions; 0 disables.
-void SetPartitionMinRows(int64_t min_rows);
-int64_t PartitionMinRows();
-
-/// Number of partitions to split into (clamped to >= 1; default 4).
-void SetPartitionCount(int count);
-int PartitionCount();
-
 /// Resolves `attrs` to column indexes in `schema`; every name must bind.
 std::vector<int> ResolveColumns(const Schema& schema,
                                 const std::vector<std::string>& attrs);

@@ -109,7 +109,7 @@ class RowBatch {
   /// (zero totals dropped — Relation semantics), in first-appearance order.
   /// Unlike ToRelation, the result stays a batch and the entry order is a
   /// deterministic function of this batch's entry order, which keeps
-  /// batch-native delta tracks bit-identical across worker counts.
+  /// batch-native delta tracks deterministic.
   RowBatch Coalesced() const {
     std::unordered_map<Row, int64_t, RowHash, RowEq> totals;
     std::vector<const Row*> order;  // first-appearance order

@@ -8,11 +8,9 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "common/worker_pool.h"
 #include "exec/kernels/kernels.h"
 #include "exec/kernels/row_batch.h"
 #include "obs/metrics.h"
-#include "storage/sharded_table.h"
 
 namespace auxview {
 
@@ -86,64 +84,33 @@ obs::Gauge* FetchCacheGauge() {
 /// attach): in_entries - out_entries summed over every Coalesced() call.
 obs::Counter* CoalesceRowsCounter() {
   static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("maintain.pool.coalesce_rows");
+      obs::MetricsRegistry::Global().GetCounter("maintain.coalesce_rows");
   return c;
 }
 
-obs::Counter* WavesCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("maintain.pool.waves");
-  return c;
-}
-
-// The closed maintain.shard.* namespace (docs/SHARDING.md,
-// docs/OBSERVABILITY.md): per-transaction classification verdicts plus the
-// sharded-vs-fallback routing decision.
-obs::Counter* ShardClassCounter(TrackLocality locality) {
-  static obs::Counter* sm = obs::MetricsRegistry::Global().GetCounter(
-      "maintain.shard.class_self_maintainable");
-  static obs::Counter* kl = obs::MetricsRegistry::Global().GetCounter(
-      "maintain.shard.class_key_local");
-  static obs::Counter* cs = obs::MetricsRegistry::Global().GetCounter(
-      "maintain.shard.class_cross_shard");
-  switch (locality) {
-    case TrackLocality::kSelfMaintainable:
-      return sm;
-    case TrackLocality::kKeyLocal:
-      return kl;
-    case TrackLocality::kCrossShard:
-      return cs;
-  }
-  return cs;
-}
-
-obs::Counter* ShardedTxnsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("maintain.shard.sharded_txns");
-  return c;
-}
-
-obs::Counter* FallbackTxnsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("maintain.shard.fallback_txns");
+/// Transactions whose track classified self-maintainable (and therefore ran
+/// under the base-fetch guard).
+obs::Counter* SelfMaintainableTxnsCounter() {
+  static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
+      "maintain.self_maintainable_txns");
   return c;
 }
 
 /// RAII arm/disarm of DeltaEngine::forbid_base_fetch_.
 class ScopedForbidBaseFetch {
  public:
-  ScopedForbidBaseFetch(std::atomic<bool>* flag, bool engage)
+  ScopedForbidBaseFetch(bool* flag, bool engage)
       : flag_(engage ? flag : nullptr) {
-    if (flag_ != nullptr) flag_->store(true, std::memory_order_relaxed);
+    if (flag_ != nullptr) *flag_ = true;
   }
   ~ScopedForbidBaseFetch() {
-    if (flag_ != nullptr) flag_->store(false, std::memory_order_relaxed);
+    if (flag_ != nullptr) *flag_ = false;
   }
   ScopedForbidBaseFetch(const ScopedForbidBaseFetch&) = delete;
   ScopedForbidBaseFetch& operator=(const ScopedForbidBaseFetch&) = delete;
 
  private:
-  std::atomic<bool>* flag_;
+  bool* flag_;
 };
 
 }  // namespace
@@ -153,10 +120,7 @@ std::string MaterializedViewName(GroupId g) {
 }
 
 void DeltaEngine::ClearFetchCache() {
-  std::lock_guard<std::mutex> lock(fetch_mu_);
   fetch_cache_.clear();
-  fetch_pending_.clear();
-  fetch_error_ = Status::Ok();
   FetchCacheGauge()->Set(0);
 }
 
@@ -170,28 +134,23 @@ DeltaEngine::DeltaEngine(const Memo* memo, const Catalog* catalog,
       delta_(memo, catalog, &stats_),
       coster_(memo, catalog, &stats_, &fds_, IoCostModel()) {}
 
-void DeltaEngine::set_threads(int threads) {
-  threads_ = threads < 1 ? 1 : threads;
-  WorkerPool::Shared().Resize(threads_ - 1);
-}
-
-StatusOr<const TrackLocalityReport*> DeltaEngine::ClassifyTrack(
-    const TransactionType& type, const UpdateTrack& track,
-    const ViewSet& marked) {
+StatusOr<bool> DeltaEngine::SelfMaintainable(const TransactionType& type,
+                                             const UpdateTrack& track,
+                                             const ViewSet& marked) {
   std::string key = type.name + "#";
   for (const auto& [g, eid] : track.choice) {
     key += std::to_string(g) + ":" + std::to_string(eid) + ",";
   }
   key += "#";
   for (GroupId g : marked) key += std::to_string(g) + ",";
-  auto it = locality_cache_.find(key);
-  if (it == locality_cache_.end()) {
+  auto it = self_maintainable_cache_.find(key);
+  if (it == self_maintainable_cache_.end()) {
     LocalityClassifier classifier(memo_, catalog_, &delta_);
-    AUXVIEW_ASSIGN_OR_RETURN(TrackLocalityReport report,
-                             classifier.Classify(track, marked, type));
-    it = locality_cache_.emplace(key, std::move(report)).first;
+    AUXVIEW_ASSIGN_OR_RETURN(bool verdict,
+                             classifier.SelfMaintainable(track, marked, type));
+    it = self_maintainable_cache_.emplace(key, verdict).first;
   }
-  return &it->second;
+  return it->second;
 }
 
 StatusOr<Relation> DeltaEngine::AlignRelation(const Relation& rel,
@@ -287,13 +246,9 @@ StatusOr<std::map<GroupId, Relation>> DeltaEngine::ComputeDeltas(
   ctx.marked = &marked_canon;
   ctx.affected = delta_.AffectedGroups(type);
 
-  // ---- Phase A (sequential): plan the track DAG. Walks exactly the
-  // closure the former lazy recursion visited (join children only when
-  // affected; every other input unconditionally), seeds leaf and
-  // unaffected-group deltas, preinserts one ctx.deltas entry per node (wave
-  // tasks assign mapped values only — the map never changes shape while
-  // waves run), and precomputes the per-aggregate branch decisions through
-  // the memoizing (single-threaded) static-delta analyses.
+  // ---- Phase A: plan the track DAG. Walks exactly the closure the former
+  // lazy recursion visited (join children only when affected; every other
+  // input unconditionally) and seeds leaf and unaffected-group deltas.
   std::set<GroupId> visited;
   std::vector<GroupId> node_order;  // post-order: inputs before consumers
   std::map<GroupId, std::vector<GroupId>> deps;  // affected non-leaf inputs
@@ -345,20 +300,8 @@ StatusOr<std::map<GroupId, Relation>> DeltaEngine::ComputeDeltas(
         my_deps.push_back(c);
       }
     }
-    if (e.kind() == OpKind::kAggregate) {
-      const GroupId input = memo_->Find(e.inputs[0]);
-      AUXVIEW_ASSIGN_OR_RETURN(DeltaInfo child_static,
-                               StaticDeltaOf(input, ctx));
-      AggPlan plan;
-      plan.materialized = ctx.marked->count(g) > 0;
-      plan.complete = child_static.CompleteWithin(ToSet(e.op->group_by()));
-      plan.needs_query =
-          delta_.AggregateNeedsQuery(e, child_static, plan.materialized);
-      ctx.agg_plans[g] = plan;
-    }
     deps[g] = std::move(my_deps);
     node_order.push_back(g);
-    ctx.deltas.emplace(g, RowBatch(grp.schema));
     return Status::Ok();
   };
   for (const auto& [g, eid] : track.choice) {
@@ -366,140 +309,33 @@ StatusOr<std::map<GroupId, Relation>> DeltaEngine::ComputeDeltas(
     AUXVIEW_RETURN_IF_ERROR(visit(g));
   }
 
-  // Wave assignment: a node runs one wave after its latest-finishing input.
-  // Within a wave, tasks are ordered by ascending group id — a pure
-  // function of the track, so the task list (and therefore the error chosen
-  // on failure) is identical for every thread count.
+  // Wave assignment: a node runs one wave after its latest-finishing input,
+  // and nodes run wave by wave, by ascending group id within a wave — a pure
+  // function of the track, so fetch order, fetch-cache counters and
+  // failpoint hit order are too.
   std::map<GroupId, size_t> wave_of;
-  std::vector<std::vector<GroupId>> waves;
+  std::vector<std::pair<size_t, GroupId>> schedule;
   for (GroupId g : node_order) {
     size_t w = 0;
     for (GroupId d : deps[g]) w = std::max(w, wave_of[d] + 1);
     wave_of[g] = w;
-    if (waves.size() <= w) waves.resize(w + 1);
-    waves[w].push_back(g);
+    schedule.emplace_back(w, g);
   }
-  for (std::vector<GroupId>& wave : waves) {
-    std::sort(wave.begin(), wave.end());
-  }
+  std::sort(schedule.begin(), schedule.end());
 
-  // Adaptive partitioning threshold: track an EWMA of the transaction's
-  // total leaf-delta rows and let kernels partition only batches at least
-  // that large (small floor avoids partitioning trivial deltas). The
-  // threshold never changes results, only where parallel kernels engage.
-  if (adaptive_partitioning_) {
-    int64_t seed_rows = 0;
-    for (const auto& [g, batch] : ctx.deltas) {
-      if (memo_->group(g).is_leaf) seed_rows += batch.num_rows();
-    }
-    batch_rows_ewma_ +=
-        0.25 * (static_cast<double>(seed_rows) - batch_rows_ewma_);
-    kernels::SetPartitionMinRows(
-        std::max<int64_t>(16, static_cast<int64_t>(batch_rows_ewma_ + 0.5)));
-  }
+  // Every transaction re-proves the self-maintainability verdict: while a
+  // self-maintainable track computes, any base-relation fetch is a CHECK
+  // failure.
+  AUXVIEW_ASSIGN_OR_RETURN(const bool self_maintainable,
+                           SelfMaintainable(type, track, marked_canon));
+  if (self_maintainable) SelfMaintainableTxnsCounter()->Add(1);
+  ScopedForbidBaseFetch forbid_guard(&forbid_base_fetch_, self_maintainable);
 
-  // ---- Locality classification (docs/SHARDING.md). Every transaction
-  // validates the strongest verdict at runtime: while a self-maintainable
-  // track computes, any base-relation fetch is a CHECK failure. A sharded
-  // database additionally runs decomposable, non-cross-shard tracks
-  // independently per shard.
-  AUXVIEW_ASSIGN_OR_RETURN(const TrackLocalityReport* locality,
-                           ClassifyTrack(type, track, marked_canon));
-  ShardClassCounter(locality->locality)->Add(1);
-  ScopedForbidBaseFetch forbid_guard(
-      &forbid_base_fetch_,
-      locality->locality == TrackLocality::kSelfMaintainable);
-  const int shards = db_->shard_count();
-  const bool per_shard = shards > 1 && locality->decomposable &&
-                         locality->locality != TrackLocality::kCrossShard;
-
-  if (per_shard) {
-    AUXVIEW_FAILPOINT("shard.route.fail");
-    ShardedTxnsCounter()->Add(1);
-    // One context per shard: shared plan state, private delta maps. Updated
-    // leaves' seed batches are partitioned row-wise by the same hash the
-    // storage router uses (a modify's -old/+new rows may land in different
-    // shards; that is plain bag semantics — the classifier's alignment
-    // condition keeps whole aggregate groups, distinct rows and join
-    // matches inside one shard).
-    std::vector<ApplyContext> shard_ctx(static_cast<size_t>(shards));
-    for (ApplyContext& sc : shard_ctx) {
-      sc.txn = ctx.txn;
-      sc.type = ctx.type;
-      sc.track = ctx.track;
-      sc.marked = ctx.marked;
-      sc.affected = ctx.affected;
-      sc.static_deltas = ctx.static_deltas;
-      sc.agg_plans = ctx.agg_plans;
-    }
-    for (const auto& [g, batch] : ctx.deltas) {
-      for (ApplyContext& sc : shard_ctx) {
-        sc.deltas.emplace(g, RowBatch(batch.schema()));
-      }
-      const MemoGroup& grp = memo_->group(g);
-      if (!grp.is_leaf || batch.num_rows() == 0) continue;
-      const TableDef* def = catalog_->FindTable(grp.table);
-      if (def == nullptr) {
-        return Status::NotFound("relation missing from catalog: " + grp.table);
-      }
-      std::vector<int> cols;
-      cols.reserve(def->shard_key.size());
-      for (const std::string& a : def->shard_key) {
-        const int c = grp.schema.IndexOf(a);
-        AUXVIEW_CHECK_MSG(c >= 0, "shard key attr missing from leaf schema");
-        cols.push_back(c);
-      }
-      Row key;
-      for (int64_t i = 0; i < batch.num_rows(); ++i) {
-        const Row row = batch.RowAt(i);
-        key.clear();
-        for (int c : cols) key.push_back(row[static_cast<size_t>(c)]);
-        const size_t s = static_cast<size_t>(ShardIndexFor(key, shards));
-        shard_ctx[s].deltas.find(g)->second.Append(row, batch.count(i));
-      }
-    }
-    // Same wave schedule, (node x shard) tasks. Fetches of all shards share
-    // the engine cache, so every distinct key is still fetched — and
-    // charged — exactly once, as on the global path.
-    for (const std::vector<GroupId>& wave : waves) {
-      WavesCounter()->Add(1);
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(wave.size() * static_cast<size_t>(shards));
-      for (GroupId g : wave) {
-        for (ApplyContext& sc : shard_ctx) {
-          tasks.push_back([this, g, &sc] { return ComputeNode(g, sc); });
-        }
-      }
-      AUXVIEW_RETURN_IF_ERROR(
-          WorkerPool::Shared().RunAll(std::move(tasks), threads_));
-    }
-    deltas_out->Add(static_cast<int64_t>(ctx.deltas.size()));
-    // Merge: a node's delta is the bag sum of its per-shard deltas
-    // (Relation is order-canonical, so the merge order cannot show).
-    std::map<GroupId, Relation> result;
-    for (const auto& [g, batch] : ctx.deltas) {
-      (void)batch;
-      Relation merged(memo_->group(g).schema);
-      for (const ApplyContext& sc : shard_ctx) {
-        merged.AddAll(sc.deltas.find(g)->second.ToRelation());
-      }
-      result.emplace(g, std::move(merged));
-    }
-    return result;
-  }
-  if (shards > 1) FallbackTxnsCounter()->Add(1);
-
-  // ---- Phase B: run the waves. Tasks of one wave only read deltas
-  // finished in earlier waves (or seeded), so they are independent.
-  for (const std::vector<GroupId>& wave : waves) {
-    WavesCounter()->Add(1);
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(wave.size());
-    for (GroupId g : wave) {
-      tasks.push_back([this, g, &ctx] { return ComputeNode(g, ctx); });
-    }
-    AUXVIEW_RETURN_IF_ERROR(
-        WorkerPool::Shared().RunAll(std::move(tasks), threads_));
+  // ---- Phase B: compute the nodes in schedule order. A node reads only
+  // deltas seeded in Phase A or computed in an earlier wave.
+  for (const auto& [wave, g] : schedule) {
+    (void)wave;
+    AUXVIEW_RETURN_IF_ERROR(ComputeNode(g, ctx));
   }
 
   deltas_out->Add(static_cast<int64_t>(ctx.deltas.size()));
@@ -537,7 +373,7 @@ Status DeltaEngine::ComputeNode(GroupId g, ApplyContext& ctx) {
   AUXVIEW_ASSIGN_OR_RETURN(RowBatch aligned, AlignBatch(*natural, grp.schema));
   RowBatch coalesced = aligned.Coalesced();
   CoalesceRowsCounter()->Add(aligned.num_rows() - coalesced.num_rows());
-  ctx.deltas.find(g)->second = std::move(coalesced);
+  ctx.deltas.emplace(g, std::move(coalesced));
   return Status::Ok();
 }
 
@@ -636,11 +472,12 @@ StatusOr<RowBatch> DeltaEngine::AggregateDelta(const MemoExpr& e,
   const GroupId g = memo_->Find(e.group);
   const GroupId input = memo_->Find(e.inputs[0]);
   const RowBatch& dc = DeltaBatchOf(input, ctx);
-  const AggPlan plan = ctx.agg_plans.at(g);
   const std::vector<std::string>& group_by = e.op->group_by();
-  const bool materialized = plan.materialized;
-  const bool complete = plan.complete;
-  const bool needs_query = plan.needs_query;
+  AUXVIEW_ASSIGN_OR_RETURN(DeltaInfo child_static, StaticDeltaOf(input, ctx));
+  const bool materialized = ctx.marked->count(g) > 0;
+  const bool complete = child_static.CompleteWithin(ToSet(group_by));
+  const bool needs_query =
+      delta_.AggregateNeedsQuery(e, child_static, materialized);
 
   // Partition the child delta by group key (std::map: deterministic order
   // independent of the batch's entry order). Each group's sub-batch keeps
@@ -680,9 +517,7 @@ StatusOr<RowBatch> DeltaEngine::AggregateDelta(const MemoExpr& e,
         return Status::Internal("materialized view table missing for N" +
                                 std::to_string(g));
       }
-      // These reads are part of the update cost, so they are not charged
-      // (the uncharged probe replaces the sequential code's
-      // ScopedCountingDisabled, which would leak across worker tasks).
+      // These reads are part of the update cost, so they are not charged.
       view_rows = view_table->LookupBatchUncharged(group_by, group_keys);
     } else {
       AUXVIEW_ASSIGN_OR_RETURN(
@@ -891,77 +726,39 @@ StatusOr<std::vector<Relation>> DeltaEngine::FetchMatchingBatch(
   g = memo_->Find(g);
   const std::string prefix =
       "N" + std::to_string(g) + "|" + Join(attrs, ",") + "|";
-  // Claim phase. Distinct unclaimed keys, in first-appearance order: a key
-  // already cached — or pending, whether claimed by this call or a
-  // concurrent one — counts as a hit, so the cache counters match the
-  // equivalent per-key sequence exactly (the total charge is one fetch per
-  // distinct key regardless of scheduling).
+  // Distinct uncached keys, in first-appearance order: a key already cached
+  // or repeated earlier in this batch counts as a hit, so the cache
+  // counters match the equivalent per-key sequence exactly.
   std::vector<std::string> cache_keys;
   cache_keys.reserve(keys.size());
+  std::set<std::string> miss_set;
   std::vector<Row> miss_keys;
   std::vector<std::string> miss_cache_keys;
-  {
-    std::unique_lock<std::mutex> lock(fetch_mu_);
-    if (!fetch_error_.ok()) return fetch_error_;
-    for (const Row& key : keys) {
-      std::string ck = prefix + RowToString(key);
-      if (fetch_cache_.count(ck) > 0 || fetch_pending_.count(ck) > 0) {
-        cache_hits->Add(1);
-      } else {
-        cache_misses->Add(1);
-        Status fp = FailpointRegistry::Global().Check("maintain.fetch");
-        if (!fp.ok()) {
-          if (fetch_error_.ok()) fetch_error_ = fp;
-          for (const std::string& claimed : miss_cache_keys) {
-            fetch_pending_.erase(claimed);
-          }
-          fetch_cv_.notify_all();
-          return fp;
-        }
-        fetch_pending_.insert(ck);
-        miss_keys.push_back(key);
-        miss_cache_keys.push_back(ck);
-      }
-      cache_keys.push_back(std::move(ck));
+  for (const Row& key : keys) {
+    std::string ck = prefix + RowToString(key);
+    if (fetch_cache_.count(ck) > 0 || !miss_set.insert(ck).second) {
+      cache_hits->Add(1);
+    } else {
+      cache_misses->Add(1);
+      AUXVIEW_FAILPOINT("maintain.fetch");
+      miss_keys.push_back(key);
+      miss_cache_keys.push_back(ck);
     }
+    cache_keys.push_back(std::move(ck));
   }
-  // Fetch phase (no lock held): this thread owns its claimed keys; other
-  // threads needing them wait on fetch_cv_ below.
   if (!miss_keys.empty()) {
-    StatusOr<std::vector<Relation>> fetched =
-        FetchUncached(g, attrs, miss_keys, marked);
-    std::unique_lock<std::mutex> lock(fetch_mu_);
-    if (!fetched.ok()) {
-      if (fetch_error_.ok()) fetch_error_ = fetched.status();
-      for (const std::string& claimed : miss_cache_keys) {
-        fetch_pending_.erase(claimed);
-      }
-      fetch_cv_.notify_all();
-      return fetched.status();
-    }
-    AUXVIEW_CHECK(fetched->size() == miss_keys.size());
-    for (size_t i = 0; i < fetched->size(); ++i) {
-      fetch_cache_[miss_cache_keys[i]] = std::move((*fetched)[i]);
-      fetch_pending_.erase(miss_cache_keys[i]);
+    AUXVIEW_ASSIGN_OR_RETURN(std::vector<Relation> fetched,
+                             FetchUncached(g, attrs, miss_keys, marked));
+    AUXVIEW_CHECK(fetched.size() == miss_keys.size());
+    for (size_t i = 0; i < fetched.size(); ++i) {
+      fetch_cache_[miss_cache_keys[i]] = std::move(fetched[i]);
     }
     FetchCacheGauge()->Set(static_cast<int64_t>(fetch_cache_.size()));
-    fetch_cv_.notify_all();
   }
-  // Collect phase: wait for any keys a concurrent fetch still owns. This
-  // cannot deadlock — by now this call owns no pending keys, and an owner
-  // mid-FetchUncached only ever waits on strictly lower memo groups.
   std::vector<Relation> results;
   results.reserve(keys.size());
-  {
-    std::unique_lock<std::mutex> lock(fetch_mu_);
-    for (const std::string& ck : cache_keys) {
-      fetch_cv_.wait(lock, [this, &ck] {
-        return fetch_cache_.count(ck) > 0 || !fetch_error_.ok();
-      });
-      auto it = fetch_cache_.find(ck);
-      if (it == fetch_cache_.end()) return fetch_error_;
-      results.push_back(it->second);
-    }
+  for (const std::string& ck : cache_keys) {
+    results.push_back(fetch_cache_.at(ck));
   }
   return results;
 }
@@ -979,9 +776,8 @@ StatusOr<std::vector<Relation>> DeltaEngine::FetchUncached(
   if (grp.is_leaf) {
     // The classifier's strongest verdict, proven at runtime: a track labeled
     // self-maintainable must never reach a base relation.
-    AUXVIEW_CHECK_MSG(
-        !forbid_base_fetch_.load(std::memory_order_relaxed),
-        "self-maintainable track fetched a base relation");
+    AUXVIEW_CHECK_MSG(!forbid_base_fetch_,
+                      "self-maintainable track fetched a base relation");
     table = db_->FindTable(grp.table);
     if (table == nullptr) {
       return Status::NotFound("missing base table: " + grp.table);
@@ -1019,12 +815,9 @@ StatusOr<std::vector<Relation>> DeltaEngine::FetchUncached(
 
   // Unmaterialized: follow the cheapest plan (same choice as the estimator).
   // The plan cost depends on the probe attrs, never the key value, so one
-  // choice serves the whole batch. The coster (and the stats/FD analyses it
-  // reads) memoizes mutably, so the choice is serialized; the lock is
-  // released before any push-down recursion.
+  // choice serves the whole batch.
   int best_eid = -1;
   {
-    std::lock_guard<std::mutex> plan_lock(plan_mu_);
     std::set<GroupId> marked_set(marked.begin(), marked.end());
     double best_cost = std::numeric_limits<double>::infinity();
     for (int eid : grp.exprs) {
@@ -1220,8 +1013,8 @@ Status ApplyDeltaToTable(Table* table, const Relation& delta,
   }
   // Iterate in sorted row order: Relation hashes rows, and the -n/+n
   // pairing below is first-match, so bucketing from raw iteration order
-  // would make the chosen modify pairs — and their charges — depend on how
-  // the delta was assembled (e.g. merged per shard vs computed globally).
+  // would make the chosen modify pairs — and their charges — depend on the
+  // order in which the delta's rows were added, not just on its contents.
   std::map<std::string, std::vector<std::pair<Row, int64_t>>> buckets;
   for (const auto& [row, count] : aligned.SortedRows()) {
     Row key;

@@ -1,10 +1,7 @@
 #ifndef AUXVIEW_MAINTAIN_DELTA_ENGINE_H_
 #define AUXVIEW_MAINTAIN_DELTA_ENGINE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,28 +27,14 @@ std::string MaterializedViewName(GroupId g);
 /// returns the per-group deltas. Queries see the pre-update database state;
 /// the caller applies the deltas afterwards.
 ///
-/// Propagation is batch-native and (optionally) parallel: deltas stay in
-/// RowBatch form across the whole track and the track DAG is scheduled in
-/// topological waves on WorkerPool::Shared() when `set_threads` asks for
-/// more than one worker. Results, table fingerprints and charged page I/O
-/// are bit-identical for every thread count (docs/CONCURRENCY.md,
-/// "Intra-transaction parallelism").
+/// Propagation is batch-native and sequential: deltas stay in RowBatch form
+/// across the whole track, and the track's nodes run one at a time in
+/// topological waves (a node runs one wave after its latest-finishing
+/// input; ascending group id within a wave), so fetch order, fetch-cache
+/// counters and failpoint hit order are a pure function of the track.
 class DeltaEngine {
  public:
   DeltaEngine(const Memo* memo, const Catalog* catalog, Database* db);
-
-  /// Total propagation workers (>= 1; 1 = sequential). Resizes the shared
-  /// pool to threads - 1 background workers (the applying thread is the
-  /// extra one). Call between transactions only.
-  void set_threads(int threads);
-  int threads() const { return threads_; }
-
-  /// Adapts the kernels' partitioning threshold to an EWMA of observed leaf
-  /// delta sizes (MaintainOptions::adaptive_partitioning). Thresholds never
-  /// affect results — partition assignment is a pure function of the batch —
-  /// only where the parallel kernels kick in.
-  void set_adaptive_partitioning(bool on) { adaptive_partitioning_ = on; }
-  bool adaptive_partitioning() const { return adaptive_partitioning_; }
 
   /// Computes deltas for every group assigned on `track` (plus affected
   /// leaves), for the concrete transaction `txn` of declared type `type`.
@@ -89,14 +72,6 @@ class DeltaEngine {
   void ClearFetchCache();
 
  private:
-  /// The key-independent branch decisions of one aggregate node, precomputed
-  /// sequentially (the memoizing static-delta analyses are not thread-safe).
-  struct AggPlan {
-    bool materialized = false;
-    bool complete = false;
-    bool needs_query = false;
-  };
-
   struct ApplyContext {
     const ConcreteTxn* txn = nullptr;
     const TransactionType* type = nullptr;
@@ -104,11 +79,9 @@ class DeltaEngine {
     const ViewSet* marked = nullptr;
     std::set<GroupId> affected;
     std::map<GroupId, DeltaInfo> static_deltas;
-    std::map<GroupId, AggPlan> agg_plans;
-    /// Per-node coalesced delta batches (canonical group schema). Every
-    /// entry is inserted sequentially before the waves run; a wave task
-    /// assigns only its own node's mapped value, and tasks read only values
-    /// finished in earlier waves — so no lock is needed on this map.
+    /// Per-node coalesced delta batches (canonical group schema): leaves and
+    /// unaffected groups are seeded before the waves run, every other node
+    /// is added when it has been computed.
     std::map<GroupId, RowBatch> deltas;
   };
 
@@ -119,14 +92,15 @@ class DeltaEngine {
       GroupId g, const std::vector<std::string>& attrs,
       const std::vector<Row>& keys, const ViewSet& marked);
 
-  /// The memoized locality verdict for (type, track, marked) — classified
-  /// once, validated on every transaction by the base-fetch assertion.
-  StatusOr<const TrackLocalityReport*> ClassifyTrack(
-      const TransactionType& type, const UpdateTrack& track,
-      const ViewSet& marked);
+  /// The memoized self-maintainability verdict for (type, track, marked) —
+  /// classified once, validated on every transaction by the base-fetch
+  /// assertion.
+  StatusOr<bool> SelfMaintainable(const TransactionType& type,
+                                  const UpdateTrack& track,
+                                  const ViewSet& marked);
 
-  /// One wave task: computes node `g`'s delta from its (already finished)
-  /// inputs and assigns the coalesced, aligned batch into ctx.deltas.
+  /// Computes node `g`'s delta from its (already finished) inputs and adds
+  /// the coalesced, aligned batch to ctx.deltas.
   Status ComputeNode(GroupId g, ApplyContext& ctx);
   /// The finished delta batch of `g` (must have been computed in an earlier
   /// wave or seeded — leaves and unaffected groups).
@@ -153,33 +127,17 @@ class DeltaEngine {
   FdAnalysis fds_;
   DeltaAnalysis delta_;
   QueryCoster coster_;
-  int threads_ = 1;
-  bool adaptive_partitioning_ = false;
-  /// EWMA of total leaf-delta rows per ComputeDeltas (adaptive threshold).
-  double batch_rows_ewma_ = 0;
-  /// Locality verdicts keyed by (type name, track choice, marked set).
-  std::map<std::string, TrackLocalityReport> locality_cache_;
+  /// Self-maintainability verdicts keyed by (type name, track choice,
+  /// marked set).
+  std::map<std::string, bool> self_maintainable_cache_;
   /// Armed while computing deltas of a track classified self-maintainable:
   /// a base-relation fetch under this flag is a CHECK failure, so the
-  /// classifier's strongest verdict is re-proven on every transaction it is
-  /// claimed for (read by wave workers, hence atomic).
-  std::atomic<bool> forbid_base_fetch_{false};
+  /// classifier's verdict is re-proven on every transaction it is claimed
+  /// for.
+  bool forbid_base_fetch_ = false;
   /// Per-ComputeDeltas query-result cache (pre-update state is immutable
-  /// while deltas are computed, so caching is sound). Guarded by fetch_mu_
-  /// together with the in-flight key set: the first requester of a key
-  /// counts the miss and fetches outside the lock; concurrent requesters
-  /// count a hit and wait on fetch_cv_. Waiting is deadlock-free because a
-  /// fetch only ever waits on keys of strictly lower memo groups (push-down
-  /// recursion descends the DAG). An owner's failure is recorded sticky in
-  /// fetch_error_ so waiters wake with the same error instead of hanging.
-  mutable std::mutex fetch_mu_;
-  std::condition_variable fetch_cv_;
+  /// while deltas are computed, so caching is sound).
   std::map<std::string, Relation> fetch_cache_;
-  std::set<std::string> fetch_pending_;
-  Status fetch_error_;
-  /// Serializes the push-down plan choice: QueryCoster and the analyses it
-  /// reads memoize internally and are not thread-safe.
-  std::mutex plan_mu_;
 };
 
 /// Applies a signed delta to a stored table, pairing matched -old/+new rows

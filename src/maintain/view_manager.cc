@@ -50,10 +50,7 @@ ViewManager::ViewManager(const Memo* memo, const Catalog* catalog,
       catalog_(catalog),
       db_(db),
       options_(options),
-      engine_(memo, catalog, db) {
-  engine_.set_threads(options_.threads);
-  engine_.set_adaptive_partitioning(options_.adaptive_partitioning);
-}
+      engine_(memo, catalog, db) {}
 
 namespace {
 

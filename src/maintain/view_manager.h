@@ -19,15 +19,6 @@ struct MaintainOptions {
   /// Charge page I/O for updating the top-level view (excluded in the
   /// paper's example).
   bool charge_root_update = false;
-  /// Total delta-propagation workers (>= 1; 1 = sequential). Results,
-  /// fingerprints and charged costs are bit-identical for every value
-  /// (docs/CONCURRENCY.md, "Intra-transaction parallelism").
-  int threads = 1;
-  /// Adapt the parallel kernels' partitioning threshold to an EWMA of
-  /// observed transaction delta sizes instead of the static default.
-  /// Thresholds steer only where parallel kernels engage — results,
-  /// fingerprints and charged costs are unaffected.
-  bool adaptive_partitioning = false;
 };
 
 /// Materializes a chosen view set and incrementally maintains it across
@@ -103,22 +94,6 @@ class ViewManager {
 
   DeltaEngine& engine() { return engine_; }
   Database& db() { return *db_; }
-
-  /// Reconfigures the propagation worker count between transactions
-  /// (mirrors MaintainOptions::threads; the shell's .threads command).
-  void set_maintain_threads(int threads) {
-    options_.threads = threads < 1 ? 1 : threads;
-    engine_.set_threads(options_.threads);
-  }
-  int maintain_threads() const { return options_.threads; }
-
-  /// Toggles adaptive kernel-partitioning thresholds between transactions
-  /// (mirrors MaintainOptions::adaptive_partitioning).
-  void set_adaptive_partitioning(bool on) {
-    options_.adaptive_partitioning = on;
-    engine_.set_adaptive_partitioning(on);
-  }
-  bool adaptive_partitioning() const { return options_.adaptive_partitioning; }
 
   /// Opts in to group-level rollback of optimizer state: with a mutable
   /// catalog attached, an aborted transaction also restores any statistics

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "delta/locality.h"
 
 namespace auxview {
 
@@ -159,20 +158,6 @@ StatusOr<TrackCost> TrackCoster::Cost(const UpdateTrack& track,
     out.update_cost += query_->model().ApplyDelta(
         d.kind, d.size, options_.indexes_per_view,
         /*indexed_attrs_change=*/false);
-  }
-
-  // 4. Shard fanout: a decomposable, non-cross-shard track propagates each
-  // shard's slice of the delta independently, so its query latency divides
-  // by the shard count. Update application stays in the global commit
-  // funnel and keeps its full cost; so do cross-shard tracks.
-  if (options_.shard_fanout > 1) {
-    LocalityClassifier classifier(memo_, catalog_, delta_);
-    AUXVIEW_ASSIGN_OR_RETURN(TrackLocalityReport report,
-                             classifier.Classify(track, marked, txn));
-    if (report.decomposable &&
-        report.locality != TrackLocality::kCrossShard) {
-      out.query_cost /= options_.shard_fanout;
-    }
   }
 
   out.deltas = std::move(deltas);

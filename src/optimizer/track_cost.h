@@ -23,12 +23,6 @@ struct TrackCostOptions {
   bool include_root_update_cost = false;
   /// Number of hash indexes assumed on each materialized view.
   int indexes_per_view = 1;
-  /// Shard count of the database the track will run against. Above 1, the
-  /// query cost of a track the LocalityClassifier proves decomposable and
-  /// not cross-shard is divided by this fanout: its fetches run on disjoint
-  /// shards in parallel, so the modeled latency shrinks even though total
-  /// charged I/O is unchanged. Cross-shard tracks keep their full cost.
-  int shard_fanout = 1;
 };
 
 /// One query generated along an update track (Example 3.2's Q2Ld, Q2Re, ...).

@@ -194,8 +194,6 @@ std::string TrackCostCache::KeyPrefix(const TrackCostOptions& cost,
   out += query.materialized_views_indexed ? 'I' : 'i';
   out += use_completeness ? 'C' : 'c';
   out += std::to_string(cost.indexes_per_view);
-  out += 'F';
-  out += std::to_string(cost.shard_fanout);
   out += '|';
   for (const UpdateSpec& spec : txn.updates) {
     out += spec.relation;

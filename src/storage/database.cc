@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "maintain/concrete.h"
-#include "storage/sharded_table.h"
 #include "storage/wal/wal.h"
 
 namespace auxview {
@@ -10,33 +9,12 @@ namespace auxview {
 Database::Database() = default;
 Database::~Database() = default;
 
-void Database::set_shard_count(int shards) {
-  AUXVIEW_CHECK_MSG(shards >= 1, "shard count must be at least 1");
-  shard_count_ = shards;
-  if (shards <= 1 || !shard_counters_.empty()) return;
-  shard_counters_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    const std::string scope = (label_.empty() ? "" : label_ + ".") + "shard." +
-                              std::to_string(i);
-    shard_counters_.push_back(std::make_unique<PageCounter>(scope, &counter_));
-  }
-}
-
 StatusOr<Table*> Database::CreateTable(TableDef def) {
   if (tables_.count(def.name) > 0) {
     return Status::AlreadyExists("table already exists: " + def.name);
   }
   const std::string name = def.name;
-  std::unique_ptr<Table> table;
-  if (shard_count_ > 1 && !def.shard_key.empty()) {
-    std::vector<PageCounter*> shard_counters;
-    shard_counters.reserve(shard_counters_.size());
-    for (const auto& c : shard_counters_) shard_counters.push_back(c.get());
-    table = std::make_unique<ShardedTable>(std::move(def), &counter_,
-                                           shard_counters, label_);
-  } else {
-    table = std::make_unique<Table>(std::move(def), &counter_, label_);
-  }
+  auto table = std::make_unique<Table>(std::move(def), &counter_, label_);
   Table* raw = table.get();
   tables_.emplace(name, std::move(table));
   return raw;

@@ -69,15 +69,6 @@ class Database : public TableSource {
   void set_label(std::string label) { label_ = std::move(label); }
   const std::string& label() const { return label_; }
 
-  /// Hash-shard count for stored relations (docs/SHARDING.md). With a count
-  /// above 1, CreateTable builds a ShardedTable for every definition that
-  /// carries a shard key (relations without one, including materialized
-  /// views, stay unsharded). Like set_label, must be set before the first
-  /// CreateTable — and after set_label, so per-shard counter scopes pick up
-  /// the label. Tables created earlier keep their layout.
-  void set_shard_count(int shards);
-  int shard_count() const { return shard_count_; }
-
   PageCounter& counter() { return counter_; }
   const PageCounter& counter() const { return counter_; }
 
@@ -107,11 +98,6 @@ class Database : public TableSource {
  private:
   PageCounter counter_;
   std::string label_;
-  int shard_count_ = 1;
-  /// One scoped child counter per shard (scope `[<label>.]shard.<i>`),
-  /// shared by every sharded relation in this database and forwarding into
-  /// counter_ so global totals stay identical to unsharded execution.
-  std::vector<std::unique_ptr<PageCounter>> shard_counters_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::unique_ptr<WriteAheadLog> wal_;
 };

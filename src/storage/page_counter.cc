@@ -14,18 +14,6 @@ PageCounter::PageCounter() {
   m_page_writes_ = reg.GetCounter("storage.page_writes");
 }
 
-PageCounter::PageCounter(const std::string& scope, PageCounter* parent)
-    : parent_(parent) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const std::string base = "storage." + scope + ".";
-  m_index_reads_ = reg.GetCounter(base + "index_reads");
-  m_index_writes_ = reg.GetCounter(base + "index_writes");
-  m_tuple_reads_ = reg.GetCounter(base + "tuple_reads");
-  m_tuple_writes_ = reg.GetCounter(base + "tuple_writes");
-  m_page_reads_ = reg.GetCounter(base + "page_reads");
-  m_page_writes_ = reg.GetCounter(base + "page_writes");
-}
-
 void PageCounter::Reset() {
   index_reads_.store(0, std::memory_order_relaxed);
   index_writes_.store(0, std::memory_order_relaxed);

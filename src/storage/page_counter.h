@@ -28,58 +28,37 @@ class PageCounter {
  public:
   PageCounter();
 
-  /// A scoped child counter: charges land in this counter's own atomics and
-  /// in `storage.<scope>.*` registry mirrors, then forward to `parent` —
-  /// which adds its atomics and the unscoped `storage.*` mirrors exactly
-  /// once. A Database hosting N shards gives every shard a child with scope
-  /// `shard.<i>` (label-prefixed when the database is labeled) so per-shard
-  /// I/O stays observable without double-counting the global totals
-  /// (docs/SHARDING.md). `parent` must outlive this counter.
-  PageCounter(const std::string& scope, PageCounter* parent);
-
   void Reset();
 
   /// Suspends charging (bulk loads, view materialization, test oracles).
-  /// Scope-based toggling is inherently sequential: parallel propagation
-  /// paths that must skip charging use the *Uncharged storage entry points
-  /// instead of flipping this shared flag.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
-  /// A child counter is enabled only while its parent is: disabling the
-  /// database counter (ScopedCountingDisabled) silences every shard.
-  bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed) &&
-           (parent_ == nullptr || parent_->enabled());
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void AddIndexRead(int64_t n = 1) {
     if (!enabled()) return;
     index_reads_.fetch_add(n, std::memory_order_relaxed);
     m_index_reads_->Add(n);
     m_page_reads_->Add(n);
-    if (parent_ != nullptr) parent_->AddIndexRead(n);
   }
   void AddIndexWrite(int64_t n = 1) {
     if (!enabled()) return;
     index_writes_.fetch_add(n, std::memory_order_relaxed);
     m_index_writes_->Add(n);
     m_page_writes_->Add(n);
-    if (parent_ != nullptr) parent_->AddIndexWrite(n);
   }
   void AddTupleRead(int64_t n = 1) {
     if (!enabled()) return;
     tuple_reads_.fetch_add(n, std::memory_order_relaxed);
     m_tuple_reads_->Add(n);
     m_page_reads_->Add(n);
-    if (parent_ != nullptr) parent_->AddTupleRead(n);
   }
   void AddTupleWrite(int64_t n = 1) {
     if (!enabled()) return;
     tuple_writes_.fetch_add(n, std::memory_order_relaxed);
     m_tuple_writes_->Add(n);
     m_page_writes_->Add(n);
-    if (parent_ != nullptr) parent_->AddTupleWrite(n);
   }
 
   int64_t index_reads() const {
@@ -101,16 +80,14 @@ class PageCounter {
   std::string ToString() const;
 
  private:
-  /// Relaxed atomics: charges come from every propagation worker; totals are
-  /// order-independent sums, so bit-identity across thread counts holds.
+  /// Relaxed atomics: a snapshot's tables share one counter across reader
+  /// threads (src/concurrency/snapshot.h); totals are order-independent
+  /// sums.
   std::atomic<bool> enabled_{true};
   std::atomic<int64_t> index_reads_{0};
   std::atomic<int64_t> index_writes_{0};
   std::atomic<int64_t> tuple_reads_{0};
   std::atomic<int64_t> tuple_writes_{0};
-  /// Non-null for scoped (per-shard) children; forwarded to after the local
-  /// charge so the parent's atomics and global mirrors count each I/O once.
-  PageCounter* parent_ = nullptr;
   // Global mirrors (never null; resolved once in the constructor).
   obs::Counter* m_index_reads_;
   obs::Counter* m_index_writes_;

@@ -9,18 +9,13 @@
 namespace auxview {
 
 Table::Table(TableDef def, PageCounter* counter,
-             const std::string& metric_scope,
-             const std::string& metric_suffix)
-    : def_(std::move(def)),
-      metric_scope_(metric_scope),
-      metric_suffix_(metric_suffix),
-      counter_(counter) {
+             const std::string& metric_scope)
+    : def_(std::move(def)), metric_scope_(metric_scope), counter_(counter) {
   AUXVIEW_CHECK(counter_ != nullptr);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   const std::string scoped =
       "storage.rel." +
-      (metric_scope_.empty() ? "" : metric_scope_ + ".") + def_.name +
-      (metric_suffix_.empty() ? "" : "." + metric_suffix_);
+      (metric_scope_.empty() ? "" : metric_scope_ + ".") + def_.name;
   rel_page_reads_ = reg.GetCounter(scoped + ".page_reads");
   rel_page_writes_ = reg.GetCounter(scoped + ".page_writes");
   auto add_index = [&](const std::vector<std::string>& attrs) {
@@ -46,8 +41,7 @@ std::unique_ptr<Table> Table::Clone(PageCounter* counter) const {
   // The constructor rebuilds empty index states from the def; copying the
   // populated maps afterwards avoids re-inserting (and re-charging) every
   // row. The clone is a pure value copy: no undo log, no shared state.
-  auto clone =
-      std::make_unique<Table>(def_, counter, metric_scope_, metric_suffix_);
+  auto clone = std::make_unique<Table>(def_, counter, metric_scope_);
   clone->rows_ = rows_;
   clone->total_count_ = total_count_;
   clone->indexes_ = indexes_;
@@ -81,10 +75,6 @@ void Table::IndexErase(const Row& row) {
 }
 
 Status Table::Apply(const Row& row, int64_t count) {
-  return ApplyInternal(row, count, /*charged=*/true);
-}
-
-Status Table::ApplyInternal(const Row& row, int64_t count, bool charged) {
   if (count == 0) return Status::Ok();
   AUXVIEW_FAILPOINT("storage.table.apply");
   if (static_cast<int>(row.size()) != def_.schema.num_columns()) {
@@ -103,14 +93,12 @@ Status Table::ApplyInternal(const Row& row, int64_t count, bool charged) {
   // (read; write only when the index contents change, which they do for
   // inserts/deletes of a distinct row).
   const int64_t tuples = count > 0 ? count : -count;
-  if (charged) {
-    ChargeIndexRead(static_cast<int64_t>(indexes_.size()));
-    if (count > 0) {
-      ChargeTupleWrite(tuples);
-    } else {
-      ChargeTupleRead(tuples);
-      ChargeTupleWrite(tuples);
-    }
+  ChargeIndexRead(static_cast<int64_t>(indexes_.size()));
+  if (count > 0) {
+    ChargeTupleWrite(tuples);
+  } else {
+    ChargeTupleRead(tuples);
+    ChargeTupleWrite(tuples);
   }
   // The structural update below is all-or-nothing: the failpoint sits
   // before the first mutation, so a triggered fault leaves the table (rows
@@ -118,10 +106,10 @@ Status Table::ApplyInternal(const Row& row, int64_t count, bool charged) {
   AUXVIEW_FAILPOINT("storage.table.index_update");
   if (old == 0 && next > 0) {
     IndexInsert(row);
-    if (charged) ChargeIndexWrite(static_cast<int64_t>(indexes_.size()));
+    ChargeIndexWrite(static_cast<int64_t>(indexes_.size()));
   } else if (old > 0 && next == 0) {
     IndexErase(row);
-    if (charged) ChargeIndexWrite(static_cast<int64_t>(indexes_.size()));
+    ChargeIndexWrite(static_cast<int64_t>(indexes_.size()));
   }
   if (next == 0) {
     rows_.erase(it);
@@ -271,8 +259,7 @@ Table::ResolvedProbe Table::ResolveProbe(
 }
 
 std::vector<CountedRow> Table::ProbeOnce(const ResolvedProbe& probe,
-                                         const Row& key, bool charged,
-                                         int64_t* tuples_scanned) const {
+                                         const Row& key, bool charged) const {
   std::vector<CountedRow> out;
   if (probe.index != nullptr) {
     const IndexState* idx = probe.index;
@@ -286,7 +273,6 @@ std::vector<CountedRow> Table::ProbeOnce(const ResolvedProbe& probe,
       for (const Row& row : it->second) {
         const int64_t count = CountOf(row);
         if (charged) ChargeTupleRead(count);
-        if (tuples_scanned != nullptr) *tuples_scanned += count;
         bool match = true;
         for (size_t i = 0; i < probe.residual_cols.size(); ++i) {
           if (row[static_cast<size_t>(probe.residual_cols[i])] !=
@@ -302,7 +288,6 @@ std::vector<CountedRow> Table::ProbeOnce(const ResolvedProbe& probe,
   }
   for (const auto& [row, count] : rows_) {
     if (charged) ChargeTupleRead(count);
-    if (tuples_scanned != nullptr) *tuples_scanned += count;
     bool match = true;
     for (size_t i = 0; i < probe.scan_cols.size(); ++i) {
       if (row[static_cast<size_t>(probe.scan_cols[i])] != key[i]) {

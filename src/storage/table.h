@@ -2,6 +2,7 @@
 #define AUXVIEW_STORAGE_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -36,13 +37,9 @@ class Table {
   /// `counter` must outlive the table; may not be null. A non-empty
   /// `metric_scope` labels this table's per-relation counters as
   /// `storage.rel.<scope>.<name>.*` — the per-database scoping a process
-  /// hosting several databases needs (docs/OBSERVABILITY.md). A non-empty
-  /// `metric_suffix` appends after the table name — `ShardedTable` gives
-  /// sub-shard i the suffix `shard.<i>`, composing to
-  /// `storage.rel.[<scope>.]<name>.shard.<i>.*`.
-  Table(TableDef def, PageCounter* counter, const std::string& metric_scope = "",
-        const std::string& metric_suffix = "");
-  virtual ~Table() = default;
+  /// hosting several databases needs (docs/OBSERVABILITY.md).
+  Table(TableDef def, PageCounter* counter,
+        const std::string& metric_scope = "");
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -52,24 +49,22 @@ class Table {
   /// versions serve uncharged reads). The clone carries no undo log and
   /// shares nothing with the original, so it is safe to read from other
   /// threads while the original keeps mutating.
-  virtual std::unique_ptr<Table> Clone(PageCounter* counter) const;
+  std::unique_ptr<Table> Clone(PageCounter* counter) const;
 
   const TableDef& def() const { return def_; }
   const Schema& schema() const { return def_.schema; }
   const std::string& name() const { return def_.name; }
 
   /// Number of distinct rows.
-  virtual int64_t distinct_rows() const {
-    return static_cast<int64_t>(rows_.size());
-  }
+  int64_t distinct_rows() const { return static_cast<int64_t>(rows_.size()); }
   /// Total multiplicity.
-  virtual int64_t row_count() const { return total_count_; }
+  int64_t row_count() const { return total_count_; }
   bool empty() const { return row_count() == 0; }
 
   /// Adds `count` copies of `row` (count may be negative: bag subtraction;
   /// a row whose multiplicity reaches zero disappears). Multiplicities must
   /// not go negative. Charges update I/O.
-  virtual Status Apply(const Row& row, int64_t count);
+  Status Apply(const Row& row, int64_t count);
 
   /// Insert `count` copies (count > 0).
   Status Insert(const Row& row, int64_t count = 1) { return Apply(row, count); }
@@ -88,17 +83,17 @@ class Table {
   /// tuples of one department modify behind a single index page), one
   /// relation-page read + write per tuple. An index-page write is charged
   /// per index whose key projection changes for any pair.
-  virtual Status ModifyBatch(const std::vector<std::pair<Row, Row>>& pairs);
+  Status ModifyBatch(const std::vector<std::pair<Row, Row>>& pairs);
 
   /// Multiplicity of `row` (0 when absent). Does not charge I/O (the caller
   /// charges lookups through Lookup/ScanAll).
-  virtual int64_t CountOf(const Row& row) const;
+  int64_t CountOf(const Row& row) const;
 
   /// All rows matching `key` on `attrs` (attribute names). Uses a hash index
   /// when one exists on exactly these attributes, else falls back to a full
   /// scan; charges I/O accordingly.
-  virtual std::vector<CountedRow> Lookup(const std::vector<std::string>& attrs,
-                                         const Row& key) const;
+  std::vector<CountedRow> Lookup(const std::vector<std::string>& attrs,
+                                 const Row& key) const;
 
   /// Batched Lookup: one result vector per key, in key order. Resolves the
   /// probe plan (index choice, key reordering, residual filter) once for the
@@ -107,16 +102,14 @@ class Table {
   /// Lookup calls would: one index-page read per key plus one relation-page
   /// read per tuple instance inspected (the paper's cost model is per
   /// logical probe, so batching saves CPU, never modeled I/O).
-  virtual std::vector<std::vector<CountedRow>> LookupBatch(
+  std::vector<std::vector<CountedRow>> LookupBatch(
       const std::vector<std::string>& attrs,
       const std::vector<Row>& keys) const;
 
   /// LookupBatch without any cost-model charging (neither the shared
-  /// PageCounter nor this relation's storage.rel.* mirrors). The parallel
-  /// delta engine uses this where the sequential code wrapped a lookup in
-  /// ScopedCountingDisabled: flipping the shared enabled flag from inside a
-  /// worker task would leak into concurrent tasks' charges.
-  virtual std::vector<std::vector<CountedRow>> LookupBatchUncharged(
+  /// PageCounter nor this relation's storage.rel.* mirrors) — the delta
+  /// engine's reads that belong to a view's update cost.
+  std::vector<std::vector<CountedRow>> LookupBatchUncharged(
       const std::vector<std::string>& attrs,
       const std::vector<Row>& keys) const;
 
@@ -124,33 +117,27 @@ class Table {
   bool HasIndexOn(const std::vector<std::string>& attrs) const;
 
   /// All rows (charges one page read per tuple instance).
-  virtual std::vector<CountedRow> ScanAll() const;
+  std::vector<CountedRow> ScanAll() const;
 
   /// All rows without charging I/O (test oracles, materialization snapshots).
-  virtual std::vector<CountedRow> SnapshotUncharged() const;
+  std::vector<CountedRow> SnapshotUncharged() const;
 
   /// Recomputed exact statistics (row count, per-column distinct counts).
-  virtual RelationStats ComputeStats() const;
+  RelationStats ComputeStats() const;
 
   /// Deterministic dump of the full physical state — rows with
   /// multiplicities plus every hash index's buckets — for byte-identity
   /// checks in the fault-injection harness.
-  virtual std::string Fingerprint() const;
+  std::string Fingerprint() const;
 
   /// Attaches an undo log: every successful mutation records its net effect
   /// so an aborting transaction can be rolled back exactly. nullptr
   /// detaches. Normally managed by ScopedUndo.
-  virtual void set_undo_log(UndoLog* log) { undo_log_ = log; }
+  void set_undo_log(UndoLog* log) { undo_log_ = log; }
 
   PageCounter* counter() const { return counter_; }
 
  private:
-  /// The shard router replicates this class's charge model at the router
-  /// level (and composes fingerprints/stats from sub-tables), which needs
-  /// access to sub-table internals across objects — friendship, not
-  /// protected access (docs/SHARDING.md, "Charge identity").
-  friend class ShardedTable;
-
   struct IndexState {
     std::vector<std::string> attrs;
     std::vector<int> col_idxs;
@@ -201,24 +188,12 @@ class Table {
   ResolvedProbe ResolveProbe(const std::vector<std::string>& attrs) const;
   /// One probe through a resolved plan; `charged` applies the Lookup cost
   /// model (false skips both the PageCounter and the storage.rel.* mirrors,
-  /// exactly like probing under ScopedCountingDisabled). When
-  /// `tuples_scanned` is non-null it accumulates the tuple instances this
-  /// probe inspected (bucket contents for an index probe, the whole table
-  /// for a scan) — what a charged probe would have billed as tuple reads;
-  /// the shard router charges fanned-out probes from it.
+  /// exactly like probing under ScopedCountingDisabled).
   std::vector<CountedRow> ProbeOnce(const ResolvedProbe& probe, const Row& key,
-                                    bool charged = true,
-                                    int64_t* tuples_scanned = nullptr) const;
-
-  /// Apply with charging optional: the shard router's cross-shard
-  /// ModifyBatch detaches/attaches rows through sub-tables uncharged and
-  /// bills the batch cost itself, exactly mirroring the unsharded model.
-  /// Undo recording always happens, so rollback is charge-independent.
-  Status ApplyInternal(const Row& row, int64_t count, bool charged);
+                                    bool charged = true) const;
 
   TableDef def_;
   std::string metric_scope_;
-  std::string metric_suffix_;
   PageCounter* counter_;
   UndoLog* undo_log_ = nullptr;
   obs::Counter* rel_page_reads_;   // storage.rel.<name>.page_reads

@@ -226,8 +226,9 @@ void EncodeTableDef(ByteWriter* w, const TableDef& def) {
     w->U32(static_cast<uint32_t>(idx.attrs.size()));
     for (const std::string& attr : idx.attrs) w->Str(attr);
   }
-  w->U32(static_cast<uint32_t>(def.shard_key.size()));
-  for (const std::string& attr : def.shard_key) w->Str(attr);
+  // Checkpoint format v2 reserves an attribute list here; it is always
+  // written empty (see DecodeTableDef).
+  w->U32(0);
   EncodeStats(w, def.stats);
 }
 
@@ -257,10 +258,10 @@ StatusOr<TableDef> DecodeTableDef(ByteReader* r) {
     }
     def.indexes.push_back(std::move(idx));
   }
-  const uint32_t n_shard = r->U32();
-  for (uint32_t i = 0; i < n_shard && r->ok(); ++i) {
-    def.shard_key.push_back(r->Str());
-  }
+  // The v2 shard-key list: older writers may have filled it; storage is
+  // no longer sharded, so it is read and discarded.
+  const uint32_t n_shard_key = r->U32();
+  for (uint32_t i = 0; i < n_shard_key && r->ok(); ++i) (void)r->Str();
   def.stats = DecodeStats(r);
   if (!r->ok()) return Status::Internal("wal: malformed table def");
   return def;

@@ -33,7 +33,9 @@ constexpr uint8_t kTypeTxn = 1;
 constexpr uint8_t kTypeAbort = 2;
 
 constexpr uint32_t kCheckpointMagic = 0x314B4341u;  // "ACK1" little-endian
-// v2: TableDef payloads carry the hash-sharding key.
+// v2: TableDef payloads carry an attribute list after the indexes (a
+// hash-sharding key in earlier builds). It is written empty and discarded
+// on read, so v2 checkpoints from either build recover.
 constexpr uint32_t kCheckpointVersion = 2;
 
 constexpr char kCheckpointName[] = "checkpoint";

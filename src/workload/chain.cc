@@ -22,9 +22,6 @@ ChainWorkload::ChainWorkload(ChainConfig config) : config_(config) {
                      .value();
     def.primary_key = {key};
     def.indexes = {IndexDef{{next}}};
-    // Shard on the incoming join attribute; successive relations still join
-    // on different attributes, so chain tracks classify cross-shard.
-    def.shard_key = {key};
     def.stats.row_count = rows;
     def.stats.distinct = {
         {key, rows},

@@ -37,9 +37,6 @@ EmpDeptWorkload::EmpDeptWorkload(EmpDeptConfig config)
                    .value();
   emp.primary_key = {"EName"};
   emp.indexes = {IndexDef{{"DName"}}};
-  // Shard everything on DName: the join/group-by attribute, so all delta
-  // rows of a department colocate (docs/SHARDING.md).
-  emp.shard_key = {"DName"};
   emp.stats.row_count = emps;
   emp.stats.distinct = {{"EName", emps},
                         {"DName", depts},
@@ -53,7 +50,6 @@ EmpDeptWorkload::EmpDeptWorkload(EmpDeptConfig config)
                                 {"Budget", ValueType::kInt64}})
                     .value();
   dept.primary_key = {"DName"};
-  dept.shard_key = {"DName"};
   dept.stats.row_count = depts;
   dept.stats.distinct = {{"DName", depts},
                          {"MName", depts},
@@ -66,7 +62,6 @@ EmpDeptWorkload::EmpDeptWorkload(EmpDeptConfig config)
     adepts.schema =
         Schema::Create({{"DName", ValueType::kString}}).value();
     adepts.primary_key = {"DName"};
-    adepts.shard_key = {"DName"};
     adepts.stats.row_count = config_.num_adepts;
     adepts.stats.distinct = {
         {"DName", static_cast<double>(config_.num_adepts)}};

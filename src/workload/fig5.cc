@@ -19,8 +19,6 @@ Fig5Workload::Fig5Workload(Fig5Config config) : config_(config) {
                  .value();
   s.primary_key = {"OrderId"};
   s.indexes = {IndexDef{{"Item"}}};
-  // All three relations shard on Item, the join/group-by attribute.
-  s.shard_key = {"Item"};
   s.stats.row_count = orders;
   s.stats.distinct = {{"OrderId", orders}, {"Item", items},
                       {"Quantity", 100}};
@@ -32,7 +30,6 @@ Fig5Workload::Fig5Workload(Fig5Config config) : config_(config) {
                  {{"Item", ValueType::kInt64}, {"Price", ValueType::kInt64}})
                  .value();
   t.primary_key = {"Item"};
-  t.shard_key = {"Item"};
   t.stats.row_count = items;
   t.stats.distinct = {{"Item", items}, {"Price", items / 2}};
   AUXVIEW_CHECK(catalog_.AddTable(std::move(t)).ok());
@@ -45,7 +42,6 @@ Fig5Workload::Fig5Workload(Fig5Config config) : config_(config) {
                  .value();
   r.primary_key = {"RowId"};
   r.indexes = {IndexDef{{"Item"}}};
-  r.shard_key = {"Item"};
   r.stats.row_count = r_rows;
   r.stats.distinct = {{"RowId", r_rows}, {"Item", items},
                       {"Target", r_rows / 2}};

@@ -20,9 +20,6 @@ StarWorkload::StarWorkload(StarConfig config) : config_(config) {
   cols.push_back({"M", ValueType::kInt64});
   fact.schema = Schema::Create(std::move(cols)).value();
   fact.primary_key = {"FId"};
-  // Shard on the first dimension key only: a deliberate cross-shard layout
-  // (the rollup joins every dimension), exercising the global fallback.
-  fact.shard_key = {"D1"};
   fact.stats.row_count = facts;
   fact.stats.distinct["FId"] = facts;
   fact.stats.distinct["M"] = facts / 2;
@@ -39,7 +36,6 @@ StarWorkload::StarWorkload(StarConfig config) : config_(config) {
                                  {"A" + std::to_string(i), ValueType::kInt64}})
                      .value();
     dim.primary_key = {"D" + std::to_string(i)};
-    dim.shard_key = {"D" + std::to_string(i)};
     dim.stats.row_count = dims;
     dim.stats.distinct["D" + std::to_string(i)] = dims;
     dim.stats.distinct["A" + std::to_string(i)] =

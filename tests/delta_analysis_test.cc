@@ -2,9 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "algebra/builder.h"
+#include "delta/locality.h"
+#include "maintain/view_manager.h"
 #include "memo/expand.h"
+#include "obs/metrics.h"
+#include "optimizer/optimizer.h"
+#include "workload/chain.h"
 #include "workload/emp_dept.h"
+#include "workload/fig5.h"
+#include "workload/star.h"
+#include "workload/txn_stream.h"
 
 namespace auxview {
 namespace {
@@ -238,6 +251,181 @@ TEST_F(DeltaAnalysisTest, SelectKeepsDeltaAlive) {
   const MemoExpr& e = memo.expr(memo.LiveExprs()[0]);
   DeltaInfo out = analysis.Propagate(e, {in});
   EXPECT_GT(out.size, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Self-maintainability (delta/locality.h): the classifier's verdict and the
+// DeltaEngine's runtime guard that re-proves it on every transaction.
+
+/// One workload packaged behind a uniform interface.
+struct CasePack {
+  std::string name;
+  std::shared_ptr<void> owner;
+  const Catalog* catalog = nullptr;
+  Expr::Ptr tree;
+  std::function<Status(Database*)> populate;
+  std::vector<TransactionType> txns;
+};
+
+CasePack MakeEmpDept() {
+  EmpDeptConfig config;
+  config.num_depts = 8;
+  config.emps_per_dept = 3;
+  config.violation_fraction = 0.2;
+  auto w = std::make_shared<EmpDeptWorkload>(config);
+  auto tree = w->ProblemDeptTree();
+  EXPECT_TRUE(tree.ok());
+  return {"emp_dept", w,          &w->catalog(),
+          *tree,      [w](Database* db) { return w->Populate(db); },
+          {w->TxnModEmp(), w->TxnModDept()}};
+}
+
+CasePack MakeFig5() {
+  Fig5Config config;
+  config.num_items = 20;
+  config.orders_per_item = 3;
+  config.r_rows_per_item = 2;
+  auto w = std::make_shared<Fig5Workload>(config);
+  auto tree = w->ViewTree();
+  EXPECT_TRUE(tree.ok());
+  return {"fig5", w,          &w->catalog(),
+          *tree,  [w](Database* db) { return w->Populate(db); },
+          {w->TxnModS(), w->TxnModT(), w->TxnModR()}};
+}
+
+CasePack MakeStar() {
+  StarConfig config;
+  config.num_dims = 2;
+  config.fact_rows = 60;
+  config.dim_rows = 8;
+  config.attr_values = 4;
+  auto w = std::make_shared<StarWorkload>(config);
+  auto tree = w->RollupTree();
+  EXPECT_TRUE(tree.ok());
+  return {"star", w,          &w->catalog(),
+          *tree,  [w](Database* db) { return w->Populate(db); },
+          {w->TxnModMeasure(), w->TxnModDimAttr(1), w->TxnInsertFact()}};
+}
+
+CasePack MakeChain() {
+  ChainConfig config;
+  config.num_relations = 3;
+  config.rows_per_relation = 40;
+  config.fanout = 2;
+  config.with_aggregate = true;
+  auto w = std::make_shared<ChainWorkload>(config);
+  auto tree = w->ChainViewTree();
+  EXPECT_TRUE(tree.ok());
+  return {"chain", w,          &w->catalog(),
+          *tree,   [w](Database* db) { return w->Populate(db); },
+          w->AllTxns()};
+}
+
+/// Every non-leaf group of `memo`, plus the root.
+ViewSet AllViews(const Memo& memo) {
+  ViewSet views = {memo.root()};
+  for (GroupId g : memo.NonLeafGroups()) views.insert(g);
+  return views;
+}
+
+// The classifier's verdicts, pinned per workload with every non-leaf group
+// materialized: how many declared transaction types' best tracks touch no
+// base relation.
+TEST(SelfMaintainabilityTest, WorkloadVerdictsMatchTheLattice) {
+  struct Expectation {
+    std::function<CasePack()> make;
+    int self_maintainable;  // of pack.txns
+  };
+  const std::vector<Expectation> cases = {
+      // Both ProblemDept tracks join a delta against a base relation.
+      {MakeEmpDept, 0},
+      // >R maintains through materialized views only; >S and >T fetch
+      // their join partners from base relations.
+      {MakeFig5, 1},
+      // Every rollup track probes a fact or dimension relation.
+      {MakeStar, 0},
+      // Every chain update probes a neighbouring base relation.
+      {MakeChain, 0},
+  };
+  for (const Expectation& expect : cases) {
+    const CasePack pack = expect.make();
+    SCOPED_TRACE(pack.name);
+    auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
+    ASSERT_TRUE(memo.ok()) << memo.status().ToString();
+    const ViewSet views = AllViews(*memo);
+    ViewSelector selector(&*memo, pack.catalog);
+    StatsAnalysis stats(&*memo, pack.catalog);
+    DeltaAnalysis delta(&*memo, pack.catalog, &stats);
+    LocalityClassifier classifier(&*memo, pack.catalog, &delta);
+    int self_maintainable = 0;
+    for (const TransactionType& type : pack.txns) {
+      auto plan = selector.BestTrack(views, type);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      auto verdict = classifier.SelfMaintainable(plan->track, views, type);
+      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+      if (*verdict) ++self_maintainable;
+    }
+    EXPECT_EQ(self_maintainable, expect.self_maintainable);
+  }
+}
+
+// A self-maintainable verdict arms a runtime CHECK against base fetches.
+// Tracks that classify self-maintainable commit under the armed guard and
+// leave every base relation's page-read counter untouched; the other
+// tracks do read base relations, so the counters are live.
+TEST(SelfMaintainabilityTest, SelfMaintainableTracksCommitUnderTheGuard) {
+  const CasePack pack = MakeFig5();
+  auto memo = BuildExpandedMemo(pack.tree, *pack.catalog);
+  ASSERT_TRUE(memo.ok()) << memo.status().ToString();
+  const ViewSet views = AllViews(*memo);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter* guarded = reg.GetCounter("maintain.self_maintainable_txns");
+  std::vector<obs::Counter*> base_reads;
+  for (const std::string& table : pack.catalog->TableNames()) {
+    base_reads.push_back(
+        reg.GetCounter("storage.rel." + table + ".page_reads"));
+  }
+  auto total_base_reads = [&] {
+    int64_t total = 0;
+    for (const obs::Counter* c : base_reads) total += c->value();
+    return total;
+  };
+
+  Database db;
+  ASSERT_TRUE(pack.populate(&db).ok());
+  ViewManager mgr(&*memo, pack.catalog, &db);
+  ASSERT_TRUE(mgr.Materialize(views).ok());
+  ViewSelector selector(&*memo, pack.catalog);
+  TxnGenerator gen(20260808);
+  constexpr int kSteps = 12;
+  int guarded_txns = 0;
+  int64_t unguarded_base_reads = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const TransactionType& type =
+        pack.txns[static_cast<size_t>(step) % pack.txns.size()];
+    SCOPED_TRACE("step " + std::to_string(step) + " " + type.name);
+    auto plan = selector.BestTrack(views, type);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto txn = gen.Generate(type, db);
+    ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+    const int64_t guarded_before = guarded->value();
+    const int64_t reads_before = total_base_reads();
+    ASSERT_TRUE(mgr.ApplyTransaction(*txn, type, plan->track).ok());
+    const int64_t reads = total_base_reads() - reads_before;
+    if (guarded->value() - guarded_before == 1) {
+      ++guarded_txns;
+      EXPECT_EQ(reads, 0) << "self-maintainable track read a base relation";
+    } else {
+      EXPECT_EQ(guarded->value(), guarded_before);
+      unguarded_base_reads += reads;
+    }
+  }
+  // >R is the one self-maintainable type (WorkloadVerdictsMatchTheLattice).
+  EXPECT_EQ(guarded_txns, kSteps / 3);
+  EXPECT_GT(unguarded_base_reads, 0);
+  Status consistent = mgr.CheckConsistency();
+  EXPECT_TRUE(consistent.ok()) << consistent.ToString();
 }
 
 }  // namespace

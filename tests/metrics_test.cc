@@ -338,67 +338,5 @@ TEST(StorageMetricsTest, LabeledDatabaseScopesPerRelationCounters) {
   EXPECT_EQ(labeled->value() - labeled_before, 2);
 }
 
-TEST(StorageMetricsTest, LabeledShardedDatabaseComposesScopes) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  // The label and the shard scope compose on both counter families:
-  // per-shard database I/O lands in storage.<label>.shard.<i>.* and
-  // per-relation I/O in storage.rel.<label>.<table>.shard.<i>.* — each
-  // charge counted exactly once in the global storage.* totals.
-  obs::Counter* global_writes = reg.GetCounter("storage.page_writes");
-  std::vector<obs::Counter*> shard_writes;
-  std::vector<obs::Counter*> rel_shard_writes;
-  for (int i = 0; i < 2; ++i) {
-    shard_writes.push_back(reg.GetCounter(
-        "storage.twoway.shard." + std::to_string(i) + ".page_writes"));
-    rel_shard_writes.push_back(
-        reg.GetCounter("storage.rel.twoway.ShardScopeT.shard." +
-                       std::to_string(i) + ".page_writes"));
-  }
-  const int64_t global_before = global_writes->value();
-  std::vector<int64_t> shard_before, rel_before;
-  for (int i = 0; i < 2; ++i) {
-    shard_before.push_back(shard_writes[i]->value());
-    rel_before.push_back(rel_shard_writes[i]->value());
-  }
-
-  TableDef def;
-  def.name = "ShardScopeT";
-  def.schema =
-      Schema::Create({{"k", ValueType::kString}, {"v", ValueType::kInt64}})
-          .value();
-  def.primary_key = {"k"};
-  def.shard_key = {"k"};
-
-  Database db;
-  db.set_label("twoway");
-  db.set_shard_count(2);
-  auto table = db.CreateTable(def);
-  ASSERT_TRUE(table.ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        (*table)
-            ->Insert({Value::String("k" + std::to_string(i)), Value::Int64(i)})
-            .ok());
-  }
-
-  // 8 inserts x (1 index write + 1 tuple write) = 16 page writes, split
-  // across the two shards by hash but never double-counted.
-  int64_t shard_sum = 0, rel_sum = 0;
-  for (int i = 0; i < 2; ++i) {
-    const int64_t s = shard_writes[i]->value() - shard_before[i];
-    const int64_t r = rel_shard_writes[i]->value() - rel_before[i];
-    EXPECT_EQ(s, r) << "shard " << i
-                    << ": database and relation scopes disagree";
-    EXPECT_GT(s, 0) << "shard " << i << " never charged (all rows hashed "
-                    << "to one shard — pick different test keys)";
-    shard_sum += s;
-    rel_sum += r;
-  }
-  EXPECT_EQ(shard_sum, 16);
-  EXPECT_EQ(rel_sum, 16);
-  EXPECT_EQ(global_writes->value() - global_before, 16)
-      << "per-shard mirrors double-counted into the global totals";
-}
-
 }  // namespace
 }  // namespace auxview

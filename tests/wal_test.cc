@@ -122,6 +122,64 @@ TEST(WalSerdeTest, TruncatedPayloadFailsCleanly) {
   }
 }
 
+// A TableDef as checkpoint format v2 lays it out, with `key_attrs` in the
+// attribute list that follows the indexes (earlier builds wrote a
+// hash-sharding key there; current ones write it empty).
+std::string V2TableDefBytes(const TableDef& def,
+                            const std::vector<std::string>& key_attrs) {
+  wal::ByteWriter w;
+  w.Str(def.name);
+  w.U32(static_cast<uint32_t>(def.schema.num_columns()));
+  for (const Column& col : def.schema.columns()) {
+    w.Str(col.name);
+    w.U8(static_cast<uint8_t>(col.type));
+  }
+  w.U32(static_cast<uint32_t>(def.primary_key.size()));
+  for (const std::string& attr : def.primary_key) w.Str(attr);
+  w.U32(static_cast<uint32_t>(def.indexes.size()));
+  for (const IndexDef& idx : def.indexes) {
+    w.U32(static_cast<uint32_t>(idx.attrs.size()));
+    for (const std::string& attr : idx.attrs) w.Str(attr);
+  }
+  w.U32(static_cast<uint32_t>(key_attrs.size()));
+  for (const std::string& attr : key_attrs) w.Str(attr);
+  wal::EncodeStats(&w, def.stats);
+  return w.Take();
+}
+
+// Checkpoints written before storage stopped sharding carry a non-empty
+// shard key in every TableDef; they must still decode (the key is read and
+// dropped), and re-encoding writes the list empty.
+TEST(WalSerdeTest, TableDefWithShardKeyDecodesAndDropsTheKey) {
+  TableDef def;
+  def.name = "Emp";
+  def.schema = Schema::Create({{"EName", ValueType::kString},
+                               {"DName", ValueType::kString},
+                               {"Salary", ValueType::kInt64}})
+                   .value();
+  def.primary_key = {"EName"};
+  def.indexes = {IndexDef{{"DName"}}};
+  def.stats.row_count = 30;
+  def.stats.distinct = {{"EName", 30}, {"DName", 3}};
+
+  const std::string old_bytes = V2TableDefBytes(def, {"DName"});
+  wal::ByteReader r(old_bytes);
+  auto decoded = wal::DecodeTableDef(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded->name, def.name);
+  EXPECT_EQ(decoded->schema, def.schema);
+  EXPECT_EQ(decoded->primary_key, def.primary_key);
+  ASSERT_EQ(decoded->indexes.size(), 1u);
+  EXPECT_EQ(decoded->indexes[0].attrs, def.indexes[0].attrs);
+  EXPECT_EQ(decoded->stats.row_count, 30);
+  EXPECT_EQ(decoded->stats.distinct.at("DName"), 3);
+
+  wal::ByteWriter w;
+  wal::EncodeTableDef(&w, *decoded);
+  EXPECT_EQ(w.buffer(), V2TableDefBytes(def, {}));
+}
+
 // ---------------------------------------------------------------------------
 // Log scan: append, reopen, replay.
 

@@ -14,9 +14,8 @@
 //   auxview> SELECT * FROM SumOfSals;
 //
 // Dot-commands: .prepare [strategy], .workload <modify|insert|delete>
-// <relation> [attr] [weight], .plan, .check, .io, .consistency, .shards,
-// .shardkey, .wal, .checkpoint, .recover, .session, .commit, .abort,
-// .retry, .help, .quit.
+// <relation> [attr] [weight], .plan, .check, .io, .consistency, .wal,
+// .checkpoint, .recover, .session, .commit, .abort, .retry, .help, .quit.
 // Statements may span lines; they run at ';'.
 //
 // After .prepare, `.session open` starts a concurrent session: statements
@@ -195,13 +194,6 @@ void PrintHelp() {
       "  .consistency   verify maintained views against recomputation\n"
       "  .io            show the page-I/O counter\n"
       "  .reset-io      reset the page-I/O counter\n"
-      "  .threads [N]   show or set delta-propagation workers (results and\n"
-      "      charged costs are identical for every N; wall clock differs)\n"
-      "  .shards [N]    show the shard count and per-shard I/O counters, or\n"
-      "      set the count (before any CREATE TABLE; identical results and\n"
-      "      charged costs for every N — docs/SHARDING.md)\n"
-      "  .shardkey <table> <attr> [attr...]\n"
-      "      declare a table's shard key (before its CREATE TABLE)\n"
       "  .metrics       dump the live metrics snapshot (\\metrics works too)\n"
       "  .fail          list failpoints (armed state, hits, triggers)\n"
       "  .fail <name> <N|pP>   arm: abort at the Nth hit / with probability P\n"
@@ -384,68 +376,6 @@ class Shell {
       std::printf("%s\n", st.ok() ? "consistent" : st.ToString().c_str());
     } else if (cmd == ".io") {
       std::printf("%s\n", session_.counter().ToString().c_str());
-    } else if (cmd == ".threads") {
-      if (words.size() == 1) {
-        std::printf("maintain threads: %d\n", session_.maintain_threads());
-      } else {
-        int n = 0;
-        try {
-          n = std::stoi(words[1]);
-        } catch (...) {
-          n = 0;
-        }
-        if (n < 1) {
-          std::printf("usage: .threads [N]   (N >= 1)\n");
-          return true;
-        }
-        session_.SetMaintainThreads(n);
-        std::printf("maintain threads: %d\n", session_.maintain_threads());
-      }
-    } else if (cmd == ".shards") {
-      if (words.size() == 1) {
-        std::printf("shards: %d\n", session_.shard_count());
-        // Per-shard counter scopes (storage.[label.]shard.<i>.* and the
-        // maintain.shard.* routing counters), pulled from the live
-        // metrics snapshot.
-        const obs::MetricsSnapshot snapshot =
-            obs::MetricsRegistry::Global().Snapshot();
-        for (const auto& counter : snapshot.counters) {
-          if (counter.name.find("shard.") != std::string::npos &&
-              counter.value != 0) {
-            std::printf("  %-48s %lld\n", counter.name.c_str(),
-                        static_cast<long long>(counter.value));
-          }
-        }
-      } else {
-        int n = 0;
-        try {
-          n = std::stoi(words[1]);
-        } catch (...) {
-          n = 0;
-        }
-        if (n < 1) {
-          std::printf("usage: .shards [N]   (N >= 1)\n");
-          return true;
-        }
-        Status st = session_.SetShardCount(n);
-        if (!st.ok()) {
-          std::printf("error: %s\n", st.ToString().c_str());
-          return true;
-        }
-        std::printf("shards: %d\n", session_.shard_count());
-      }
-    } else if (cmd == ".shardkey") {
-      if (words.size() < 3) {
-        std::printf("usage: .shardkey <table> <attr> [attr...]\n");
-        return true;
-      }
-      std::vector<std::string> attrs(words.begin() + 2, words.end());
-      session_.SetShardKey(words[1], attrs);
-      std::printf("shard key of %s: (", words[1].c_str());
-      for (size_t i = 0; i < attrs.size(); ++i) {
-        std::printf("%s%s", i > 0 ? "," : "", attrs[i].c_str());
-      }
-      std::printf(") — applies at CREATE TABLE\n");
     } else if (cmd == ".metrics") {
       const obs::MetricsSnapshot snapshot =
           obs::MetricsRegistry::Global().Snapshot();

@@ -53,30 +53,17 @@ KNOWN_CONCURRENCY_GAUGES = {
     "concurrency.snapshot_pins",
 }
 
-# The parallel-propagation worker-pool family (docs/OBSERVABILITY.md,
-# docs/CONCURRENCY.md "Intra-transaction parallelism"). Closed namespace
-# like wal.* — maintain.pool.worker_us is a histogram, the rest counters.
-KNOWN_POOL_COUNTERS = {
-    "maintain.pool.tasks_spawned",
-    "maintain.pool.waves",
-    "maintain.pool.partitions",
-    "maintain.pool.coalesce_rows",
-}
-KNOWN_POOL_HISTOGRAMS = {
-    "maintain.pool.worker_us",
-}
+# Namespaces of retired mechanisms: the parallel-propagation worker pool
+# and hash-sharded storage are gone, so no metric may carry these prefixes.
+# A report that does was built from stale code; the live successors are
+# maintain.coalesce_rows and maintain.self_maintainable_txns.
+RETIRED_PREFIXES = ("maintain.pool.", "maintain.shard.")
 
-# The shard-routing family (docs/SHARDING.md, docs/OBSERVABILITY.md).
-# Closed namespace like wal.*: the class_* counters record the locality
-# classifier's verdict per transaction, sharded/fallback record which
-# execution path the transaction took. All counters, no gauges/histograms.
-KNOWN_SHARD_COUNTERS = {
-    "maintain.shard.class_self_maintainable",
-    "maintain.shard.class_key_local",
-    "maintain.shard.class_cross_shard",
-    "maintain.shard.sharded_txns",
-    "maintain.shard.fallback_txns",
-}
+
+def retired_metric_errors(path, family, names):
+    return [f"{path}: retired {family} '{name}' (the maintain.pool.* and "
+            f"maintain.shard.* namespaces are closed)"
+            for name in names if name.startswith(RETIRED_PREFIXES)]
 
 
 def check(path):
@@ -138,18 +125,7 @@ def check(path):
                     f"{path}: unknown concurrency.* counter '{name}' "
                     f"(update KNOWN_CONCURRENCY_COUNTERS and "
                     f"docs/CONCURRENCY.md together)")
-            if (name.startswith("maintain.pool.")
-                    and name not in KNOWN_POOL_COUNTERS):
-                errors.append(
-                    f"{path}: unknown maintain.pool.* counter '{name}' "
-                    f"(update KNOWN_POOL_COUNTERS and "
-                    f"docs/OBSERVABILITY.md together)")
-            if (name.startswith("maintain.shard.")
-                    and name not in KNOWN_SHARD_COUNTERS):
-                errors.append(
-                    f"{path}: unknown maintain.shard.* counter '{name}' "
-                    f"(update KNOWN_SHARD_COUNTERS and "
-                    f"docs/SHARDING.md together)")
+        errors.extend(retired_metric_errors(path, "counter", counters))
 
     for key in ("gauges", "histograms"):
         if not isinstance(doc["metrics"].get(key), dict):
@@ -164,28 +140,11 @@ def check(path):
                     f"{path}: unknown concurrency.* gauge '{name}' "
                     f"(update KNOWN_CONCURRENCY_GAUGES and "
                     f"docs/CONCURRENCY.md together)")
-            if name.startswith("maintain.pool."):
-                errors.append(
-                    f"{path}: unexpected maintain.pool.* gauge '{name}' "
-                    f"(the pool family has no gauges)")
-            if name.startswith("maintain.shard."):
-                errors.append(
-                    f"{path}: unexpected maintain.shard.* gauge '{name}' "
-                    f"(the shard family has no gauges)")
+        errors.extend(retired_metric_errors(path, "gauge", gauges))
 
     histograms = doc["metrics"].get("histograms")
     if isinstance(histograms, dict):
-        for name in histograms:
-            if (name.startswith("maintain.pool.")
-                    and name not in KNOWN_POOL_HISTOGRAMS):
-                errors.append(
-                    f"{path}: unknown maintain.pool.* histogram '{name}' "
-                    f"(update KNOWN_POOL_HISTOGRAMS and "
-                    f"docs/OBSERVABILITY.md together)")
-            if name.startswith("maintain.shard."):
-                errors.append(
-                    f"{path}: unexpected maintain.shard.* histogram "
-                    f"'{name}' (the shard family has no histograms)")
+        errors.extend(retired_metric_errors(path, "histogram", histograms))
 
     return errors
 
