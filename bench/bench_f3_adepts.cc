@@ -87,9 +87,8 @@ void PrintResult() {
                      static_cast<double>(best->views.size() - 1)});
   }
 
-  // Enumeration wall time with/without the track-cost cache and with
-  // worker threads, on the mixed-update workload (the widest track space
-  // this bench exercises).
+  // Cold enumeration wall time, sequential and with worker threads, on the
+  // mixed-update workload (the widest track space this bench exercises).
   bench::PrintOptimizerScaling(
       s.memo.get(), &s.workload->catalog(),
       {s.workload->TxnInsertADept(2), s.workload->TxnModEmp(1),

@@ -73,8 +73,8 @@ void PrintResults() {
                   workload.AllTxns({4, 1, 1, 1, 1}), max_tracks);
   }
 
-  // Enumeration wall time with/without the track-cost cache and with worker
-  // threads, on the largest DAG the exhaustive reference fully explores.
+  // Cold enumeration wall time, sequential and with worker threads, on the
+  // largest DAG the exhaustive reference fully explores.
   {
     ChainConfig config;
     config.num_relations = 4;

@@ -60,8 +60,8 @@ void PrintResult() {
   small_depts.emps_per_dept = 1;
   SweepFor(small_depts, "10000 depts x 1 emp");
 
-  // Enumeration wall time with/without the track-cost cache and with
-  // worker threads, on the paper-size ProblemDept at a balanced mix.
+  // Cold enumeration wall time, sequential and with worker threads, on the
+  // paper-size ProblemDept at a balanced mix.
   {
     EmpDeptWorkload workload{EmpDeptConfig{}};
     auto tree = workload.ProblemDeptTree();

@@ -136,18 +136,13 @@ inline void PrintHeader(const std::string& title,
 }
 
 /// Prints an "optimizer scaling" table: the same Exhaustive enumeration run
-/// sequentially with the track-cost cache disabled (the pre-cache
-/// baseline), sequentially with the cache, and with 8 worker threads. Each
-/// configuration gets a fresh ViewSelector and runs Exhaustive twice:
-/// `cold_us` is the first call (empty cache), `warm_us` the repeat — the
-/// common production shape, since sweeps and repeated optimizations reuse
-/// one selector. `repeat_x` is cold_us/warm_us and `hit_pct` the warm
-/// call's cache hit rate (~100 with the cache, 0 without). Timings come
-/// from the optimizer.enumerate_us histogram delta around each call. The
+/// once sequentially and once with 8 worker threads, each on a fresh
+/// ViewSelector (one cold call per configuration, the shape
+/// Session::Prepare uses). `enumerate_us` comes from the
+/// optimizer.enumerate_us histogram delta around the call and is excluded
+/// from the golden-table comparison (tools/check_bench_tables.py). The
 /// `viewsets` column is identical across rows by construction (the
-/// enumeration is bit-identical for every configuration); the timing-
-/// derived columns are excluded from the golden-table comparison
-/// (tools/check_bench_tables.py).
+/// enumeration is bit-identical for every thread count).
 inline void PrintOptimizerScaling(const Memo* memo, const Catalog* catalog,
                                   const std::vector<TransactionType>& txns,
                                   const OptimizeOptions& base,
@@ -155,17 +150,14 @@ inline void PrintOptimizerScaling(const Memo* memo, const Catalog* catalog,
   struct Config {
     const char* label;
     int threads;
-    bool cache;
   };
   static constexpr Config kConfigs[] = {
-      {"1 thread, cache off", 1, false},
-      {"1 thread, cache on", 1, true},
-      {"8 threads, cache on", 8, true},
+      {"1 thread", 1},
+      {"8 threads", 8},
   };
   obs::Histogram* enum_us =
       obs::MetricsRegistry::Global().GetHistogram("optimizer.enumerate_us");
-  PrintHeader(title, {"cold_us", "warm_us", "repeat_x", "viewsets",
-                      "hit_pct"});
+  PrintHeader(title, {"enumerate_us", "viewsets"});
   double first_cost = 0;
   ViewSet first_views;
   bool have_first = false;
@@ -173,16 +165,9 @@ inline void PrintOptimizerScaling(const Memo* memo, const Catalog* catalog,
     ViewSelector selector(memo, catalog);
     OptimizeOptions options = base;
     options.threads = config.threads;
-    options.use_track_cache = config.cache;
-    double cold_us = 0;
-    double warm_us = 0;
-    StatusOr<OptimizeResult> result = OptimizeResult{};
-    for (int call = 0; call < 2; ++call) {
-      const double before = enum_us->sum();
-      result = selector.Exhaustive(txns, options);
-      (call == 0 ? cold_us : warm_us) = enum_us->sum() - before;
-      if (!result.ok()) break;
-    }
+    const double before = enum_us->sum();
+    StatusOr<OptimizeResult> result = selector.Exhaustive(txns, options);
+    const double enumerate_us = enum_us->sum() - before;
     if (!result.ok()) {
       std::printf("  %-34s %s\n", config.label,
                   result.status().ToString().c_str());
@@ -194,20 +179,13 @@ inline void PrintOptimizerScaling(const Memo* memo, const Catalog* catalog,
       first_views = result->views;
     } else if (result->weighted_cost != first_cost ||
                result->views != first_views) {
-      // Never expected: the parallel/cached walks are bit-identical to the
+      // Never expected: the parallel walk is bit-identical to the
       // sequential one. A visible marker beats silently wrong timings.
       std::printf("  %-34s DIVERGED from the sequential result\n",
                   config.label);
     }
-    const int64_t lookups =
-        result->trackcache_hits + result->trackcache_misses;
-    const double hit_pct =
-        lookups > 0 ? 100.0 * static_cast<double>(result->trackcache_hits) /
-                          static_cast<double>(lookups)
-                    : 0.0;
     PrintRow(config.label,
-             {cold_us, warm_us, warm_us > 0 ? cold_us / warm_us : 0,
-              static_cast<double>(result->viewsets_costed), hit_pct});
+             {enumerate_us, static_cast<double>(result->viewsets_costed)});
   }
 }
 

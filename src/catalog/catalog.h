@@ -58,7 +58,7 @@ class Catalog {
 
   /// Monotonic version of the catalog's cost-relevant contents; bumped by
   /// every AddTable and SetStats. Consumers that cache values derived from
-  /// table statistics (the optimizer's TrackCostCache, see
+  /// table statistics (the optimizer's memoized stats and FD analyses, see
   /// docs/OPTIMIZER.md) compare epochs to decide when to invalidate.
   uint64_t stats_epoch() const { return stats_epoch_; }
 

@@ -34,34 +34,8 @@ struct OptimizerMetrics {
   }
 };
 
-/// TrackCoster::Cost routed through the cross-view-set cache. `cache` may
-/// be null (caching disabled), in which case this is a plain Cost call.
-/// `hits`/`misses` accumulate into the caller's (thread-local) tallies.
-StatusOr<TrackCost> CostThroughCache(const TrackCoster& coster,
-                                     const UpdateTrack& track,
-                                     const ViewSet& views,
-                                     const TransactionType& txn,
-                                     const std::string& key_prefix,
-                                     TrackCostCache* cache,
-                                     const DescendantsIndex* descendants,
-                                     int64_t* hits, int64_t* misses) {
-  if (cache == nullptr) return coster.Cost(track, views, txn);
-  const std::string key = TrackCostCache::Key(
-      key_prefix, track, descendants->RelevantMarked(track, views));
-  TrackCost cached;
-  if (cache->Lookup(key, &cached)) {
-    ++*hits;
-    return cached;
-  }
-  ++*misses;
-  AUXVIEW_ASSIGN_OR_RETURN(TrackCost cost, coster.Cost(track, views, txn));
-  cache->Insert(key, cost);
-  return cost;
-}
-
-/// One enumeration worker's accumulated state. Workers never touch shared
-/// mutable state except the TrackCostCache (internally locked); everything
-/// else merges deterministically after the join.
+/// One enumeration worker's accumulated state. Workers share no mutable
+/// state; everything merges deterministically after the join.
 struct ShardResult {
   double best_cost = std::numeric_limits<double>::infinity();
   uint64_t best_mask = ~0ull;
@@ -70,8 +44,6 @@ struct ShardResult {
   int64_t viewsets_costed = 0;
   int64_t viewsets_pruned = 0;
   int64_t tracks_costed = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
   /// (mask, views, cost) for keep_all; merged in mask order.
   std::vector<std::tuple<uint64_t, ViewSet, double>> all_costs;
   Status error = Status::Ok();
@@ -98,17 +70,6 @@ void ViewSelector::RefreshAnalyses() {
   analyses_epoch_ = epoch;
 }
 
-void ViewSelector::PrepareTrackCache(size_t capacity) {
-  if (track_cache_ == nullptr) {
-    track_cache_ = std::make_unique<TrackCostCache>(catalog_);
-  }
-  track_cache_->Refresh();
-  track_cache_->SetCapacity(capacity);
-  if (descendants_ == nullptr) {
-    descendants_ = std::make_unique<DescendantsIndex>(memo_);
-  }
-}
-
 StatusOr<TxnPlan> ViewSelector::BestTrack(const ViewSet& views,
                                           const TransactionType& txn,
                                           const OptimizeOptions& options) {
@@ -117,14 +78,6 @@ StatusOr<TxnPlan> ViewSelector::BestTrack(const ViewSet& views,
   TrackCoster coster(memo_, catalog_, &stats_, &fds_, &delta_, &query,
                      options.cost);
   TrackEnumerator enumerator(memo_, &delta_);
-  TrackCostCache* cache = nullptr;
-  std::string key_prefix;
-  if (options.use_track_cache) {
-    PrepareTrackCache(options.track_cache_capacity);
-    cache = track_cache_.get();
-    key_prefix = TrackCostCache::KeyPrefix(
-        options.cost, options.query, delta_.use_completeness(), txn);
-  }
   AUXVIEW_ASSIGN_OR_RETURN(std::vector<UpdateTrack> tracks,
                            enumerator.Enumerate(views, txn, options.tracks));
   TxnPlan best;
@@ -133,13 +86,8 @@ StatusOr<TxnPlan> ViewSelector::BestTrack(const ViewSet& views,
   double best_cost = std::numeric_limits<double>::infinity();
   OptimizerMetrics::Get().tracks_costed->Add(
       static_cast<int64_t>(tracks.size()));
-  int64_t hits = 0;
-  int64_t misses = 0;
   for (const UpdateTrack& track : tracks) {
-    AUXVIEW_ASSIGN_OR_RETURN(
-        TrackCost cost,
-        CostThroughCache(coster, track, views, txn, key_prefix, cache,
-                         descendants_.get(), &hits, &misses));
+    AUXVIEW_ASSIGN_OR_RETURN(TrackCost cost, coster.Cost(track, views, txn));
     if (cost.total() < best_cost) {
       best_cost = cost.total();
       best.track = track;
@@ -193,21 +141,6 @@ StatusOr<OptimizeResult> ViewSelector::ExhaustiveOver(
         "); raise max_candidates or use a heuristic strategy");
   }
 
-  TrackCostCache* cache = nullptr;
-  if (options.use_track_cache) {
-    PrepareTrackCache(options.track_cache_capacity);
-    cache = track_cache_.get();
-  }
-  // Per-transaction cache-key prefixes: fixed for the whole enumeration,
-  // shared read-only by every worker.
-  std::vector<std::string> key_prefixes(txns.size());
-  if (cache != nullptr) {
-    for (size_t t = 0; t < txns.size(); ++t) {
-      key_prefixes[t] = TrackCostCache::KeyPrefix(
-          options.cost, options.query, delta_.use_completeness(), txns[t]);
-    }
-  }
-
   const OptimizerMetrics& metrics = OptimizerMetrics::Get();
   obs::ScopedTimer enum_timer(metrics.enumerate_us);
 
@@ -221,8 +154,8 @@ StatusOr<OptimizeResult> ViewSelector::ExhaustiveOver(
       std::min<uint64_t>(static_cast<uint64_t>(threads), num_sets));
 
   // The mask shard [w, w+threads, w+2*threads, ...) for one worker, with
-  // thread-local costing machinery. Mutable shared state is limited to the
-  // internally-synchronized TrackCostCache; results merge after the join.
+  // thread-local costing machinery and no shared mutable state; results
+  // merge after the join.
   auto run_shard = [&](int worker, const TrackCoster* coster,
                        const TrackEnumerator* enumerator, ShardResult* out) {
     for (uint64_t mask = static_cast<uint64_t>(worker); mask < num_sets;
@@ -239,8 +172,7 @@ StatusOr<OptimizeResult> ViewSelector::ExhaustiveOver(
       double total_weight = 0;
       std::vector<TxnPlan> plans;
       bool feasible = true;
-      for (size_t t = 0; t < txns.size(); ++t) {
-        const TransactionType& txn = txns[t];
+      for (const TransactionType& txn : txns) {
         StatusOr<std::vector<UpdateTrack>> tracks =
             enumerator->Enumerate(views, txn, options.tracks);
         if (!tracks.ok()) {
@@ -253,9 +185,7 @@ StatusOr<OptimizeResult> ViewSelector::ExhaustiveOver(
         plan.txn_name = txn.name;
         plan.weight = txn.weight;
         for (const UpdateTrack& track : *tracks) {
-          StatusOr<TrackCost> cost = CostThroughCache(
-              *coster, track, views, txn, key_prefixes[t], cache,
-              descendants_.get(), &out->cache_hits, &out->cache_misses);
+          StatusOr<TrackCost> cost = coster->Cost(track, views, txn);
           if (!cost.ok()) {
             out->error = cost.status();
             out->error_mask = mask;
@@ -338,8 +268,6 @@ StatusOr<OptimizeResult> ViewSelector::ExhaustiveOver(
     best.viewsets_costed += s.viewsets_costed;
     best.viewsets_pruned += s.viewsets_pruned;
     best.tracks_costed += s.tracks_costed;
-    best.trackcache_hits += s.cache_hits;
-    best.trackcache_misses += s.cache_misses;
     // Same (cost, mask) lexicographic order the sequential walk follows:
     // strictly lower cost wins; at equal cost the lowest mask wins.
     if (s.best_mask != ~0ull &&

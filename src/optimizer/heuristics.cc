@@ -78,6 +78,7 @@ void OriginalTreeChoice(const Memo& memo, GroupId g,
 StatusOr<OptimizeResult> ViewSelector::SingleTree(
     const std::vector<TransactionType>& txns, const OptimizeOptions& options) {
   obs::TraceSpan span("optimizer.single_tree");
+  RefreshAnalyses();
   QueryCoster query(memo_, catalog_, &stats_, &fds_, model_, options.query);
   // Phase one: a low-cost tree for the view treated as a query.
   std::map<GroupId, int> greedy_choice;
@@ -113,6 +114,7 @@ StatusOr<OptimizeResult> ViewSelector::SingleTree(
 StatusOr<OptimizeResult> ViewSelector::HeuristicMarking(
     const std::vector<TransactionType>& txns, const OptimizeOptions& options) {
   obs::TraceSpan span("optimizer.heuristic_marking");
+  RefreshAnalyses();
   QueryCoster query(memo_, catalog_, &stats_, &fds_, model_, options.query);
   std::map<GroupId, int> choice;
   ChooseTree(*memo_, query, memo_->root(), &choice);

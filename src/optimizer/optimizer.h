@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "delta/analysis.h"
 #include "optimizer/track.h"
 #include "optimizer/track_cost.h"
-#include "optimizer/track_cost_cache.h"
 #include "optimizer/view_set.h"
 
 namespace auxview {
@@ -34,17 +32,6 @@ struct OptimizeOptions {
   /// tie-breaks on the lowest mask); only wall time changes. A caller-
   /// supplied ExhaustiveOver filter must be safe to call concurrently.
   int threads = 1;
-  /// Reuse TrackCoster::Cost results across view sets through the
-  /// selector's TrackCostCache (see docs/OPTIMIZER.md). Adjacent view sets
-  /// share most update tracks, so exhaustive enumeration hits constantly.
-  /// Disable to force recomputation (ablations, cache-correctness tests).
-  bool use_track_cache = true;
-  /// Entry cap for the selector's TrackCostCache: inserts beyond it evict
-  /// the least-recently-used entry (cached values are deterministic, so
-  /// eviction changes hit rates, never results). 0 = unbounded. Applied at
-  /// every optimizer entry point; the live count is the
-  /// `optimizer.trackcache_size` gauge.
-  size_t track_cache_capacity = 1 << 18;
   /// Record the cost of every view set considered (benches).
   bool keep_all = false;
 };
@@ -64,13 +51,8 @@ struct OptimizeResult {
   std::vector<TxnPlan> plans;  // per transaction, for the winning view set
   int64_t viewsets_costed = 0;
   int64_t viewsets_pruned = 0;  // skipped by shielding
-  /// Tracks considered (cache hits included, so the count is independent of
-  /// caching and threading).
+  /// Tracks costed (independent of threading).
   int64_t tracks_costed = 0;
-  /// TrackCostCache traffic for this run. Hit+miss ordering is scheduling-
-  /// dependent when threads > 1, but hits+misses == tracks evaluated.
-  int64_t trackcache_hits = 0;
-  int64_t trackcache_misses = 0;
   /// Per-view-set weighted costs when keep_all was set.
   std::vector<std::pair<ViewSet, double>> all_costs;
 };
@@ -152,15 +134,10 @@ class ViewSelector {
   /// Clears the memoized statistics/FD analyses when Catalog::stats_epoch()
   /// has advanced since they were last used, so a long-lived selector picks
   /// up SetStats/AddTable instead of serving stale derived stats. Called
-  /// single-threaded at the costing entry points (BestTrack,
-  /// ExhaustiveOver) before any worker threads exist.
+  /// single-threaded at every entry point that reads the analyses
+  /// (BestTrack, ExhaustiveOver, and the tree choice of SingleTree and
+  /// HeuristicMarking) before any worker threads exist.
   void RefreshAnalyses();
-
-  /// Builds (lazily) and epoch-refreshes the shared track-cost cache and
-  /// the descendants index, and applies the entry cap. Called
-  /// single-threaded at optimization entry points before any worker may
-  /// touch the cache.
-  void PrepareTrackCache(size_t capacity);
 
   const Memo* memo_;
   const Catalog* catalog_;
@@ -170,10 +147,6 @@ class ViewSelector {
   DeltaAnalysis delta_;
   /// Epoch the analyses' memoized values were derived from.
   uint64_t analyses_epoch_;
-  /// Shared across Exhaustive/Shielding/heuristic entry points (and their
-  /// worker threads); invalidated when Catalog::stats_epoch() advances.
-  std::unique_ptr<TrackCostCache> track_cache_;
-  std::unique_ptr<DescendantsIndex> descendants_;
 };
 
 }  // namespace auxview

@@ -1,9 +1,8 @@
-// Parallel view-set enumeration and the cross-view-set track-cost cache:
-// every thread count and every cache setting must produce the same
-// OptimizeResult as the sequential uncached walk, bit for bit (views,
-// weighted cost, every plan's track, every query record, every delta).
-// See docs/OPTIMIZER.md for the determinism and cache-soundness arguments
-// these tests pin down.
+// Parallel view-set enumeration: every thread count must produce the same
+// OptimizeResult as the sequential walk, bit for bit (views, weighted cost,
+// every plan's track, every query record, every delta). A long-lived
+// selector must also follow catalog statistics changes. See
+// docs/OPTIMIZER.md for the determinism argument these tests pin down.
 
 #include <gtest/gtest.h>
 
@@ -64,27 +63,22 @@ TEST(ParallelOptimizerTest, ThreadCountsAgreeOnProblemDept) {
   ASSERT_TRUE(memo.ok());
   const std::vector<TransactionType> txns = {workload.TxnModEmp(3),
                                              workload.TxnModDept(1)};
-  // The reference: the pre-existing sequential walk, cache disabled.
+  // The reference: the default sequential walk.
   ViewSelector reference(&*memo, &workload.catalog());
   OptimizeOptions ref_options;
-  ref_options.use_track_cache = false;
   ref_options.keep_all = true;
   auto expected = reference.Exhaustive(txns, ref_options);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {1, 2, 8}) {
-    for (bool cache : {false, true}) {
-      ViewSelector selector(&*memo, &workload.catalog());
-      OptimizeOptions options;
-      options.threads = threads;
-      options.use_track_cache = cache;
-      options.keep_all = true;
-      auto result = selector.Exhaustive(txns, options);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " cache=" + std::to_string(cache));
-      ExpectSameResult(*expected, *result);
-    }
+    ViewSelector selector(&*memo, &workload.catalog());
+    OptimizeOptions options;
+    options.threads = threads;
+    options.keep_all = true;
+    auto result = selector.Exhaustive(txns, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameResult(*expected, *result);
   }
 }
 
@@ -109,10 +103,7 @@ TEST(ParallelOptimizerTest, ThreadCountsAgreeOnMultiViewWorkload) {
                                              workload.TxnModDept()};
 
   ViewSelector reference(&memo, &workload.catalog());
-  OptimizeOptions ref_options;
-  ref_options.use_track_cache = false;
-  auto expected = reference.ExhaustiveMultiView({root1, root2}, txns,
-                                                ref_options);
+  auto expected = reference.ExhaustiveMultiView({root1, root2}, txns);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {2, 8}) {
@@ -141,11 +132,9 @@ TEST(ParallelOptimizerTest, ShieldingAndHeuristicsAgreeAcrossThreads) {
   const auto txns = workload.AllTxns({4, 1, 1, 1, 1});
 
   ViewSelector reference(&*memo, &workload.catalog());
-  OptimizeOptions ref_options;
-  ref_options.use_track_cache = false;
-  auto expected_shield = reference.Shielding(txns, ref_options);
+  auto expected_shield = reference.Shielding(txns);
   ASSERT_TRUE(expected_shield.ok());
-  auto expected_greedy = reference.Greedy(txns, ref_options);
+  auto expected_greedy = reference.Greedy(txns);
   ASSERT_TRUE(expected_greedy.ok());
 
   for (int threads : {2, 8}) {
@@ -162,46 +151,9 @@ TEST(ParallelOptimizerTest, ShieldingAndHeuristicsAgreeAcrossThreads) {
   }
 }
 
-TEST(ParallelOptimizerTest, CacheDiffersNowhereOnEveryViewSet) {
-  // Cost every subset of candidates twice — cache off, cache on — and diff
-  // every TrackCost. A stale or colliding cache entry would surface here.
-  EmpDeptWorkload workload{EmpDeptConfig{}};
-  auto tree = workload.ProblemDeptTree();
-  ASSERT_TRUE(tree.ok());
-  auto memo = BuildExpandedMemo(*tree, workload.catalog());
-  ASSERT_TRUE(memo.ok());
-  const std::vector<TransactionType> txns = {workload.TxnModEmp(),
-                                             workload.TxnModDept()};
-  std::vector<GroupId> cand;
-  for (GroupId g : memo->NonLeafGroups()) {
-    if (g != memo->root()) cand.push_back(g);
-  }
-  ASSERT_LT(cand.size(), 16u);
-  ViewSelector cached(&*memo, &workload.catalog());
-  ViewSelector uncached(&*memo, &workload.catalog());
-  OptimizeOptions with_cache;
-  OptimizeOptions without_cache;
-  without_cache.use_track_cache = false;
-  for (uint64_t mask = 0; mask < (1ull << cand.size()); ++mask) {
-    ViewSet views = {memo->root()};
-    for (size_t i = 0; i < cand.size(); ++i) {
-      if (mask & (1ull << i)) views.insert(cand[i]);
-    }
-    auto a = uncached.CostViewSet(txns, views, without_cache);
-    auto b = cached.CostViewSet(txns, views, with_cache);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    SCOPED_TRACE("mask=" + std::to_string(mask));
-    EXPECT_EQ(a->weighted_cost, b->weighted_cost);
-    ASSERT_EQ(a->plans.size(), b->plans.size());
-    for (size_t i = 0; i < a->plans.size(); ++i) {
-      EXPECT_EQ(a->plans[i].track.choice, b->plans[i].track.choice);
-      ExpectSameTrackCost(a->plans[i].cost, b->plans[i].cost);
-    }
-  }
-}
-
-TEST(ParallelOptimizerTest, CacheCountersAccountForEveryTrack) {
+TEST(ParallelOptimizerTest, RepeatedExhaustiveIsIdentical) {
+  // A second Exhaustive on the same selector runs on warm analyses and
+  // must reproduce the first result exactly.
   EmpDeptWorkload workload{EmpDeptConfig{}};
   auto tree = workload.ProblemDeptTree();
   ASSERT_TRUE(tree.ok());
@@ -212,29 +164,14 @@ TEST(ParallelOptimizerTest, CacheCountersAccountForEveryTrack) {
   ViewSelector selector(&*memo, &workload.catalog());
   auto cold = selector.Exhaustive(txns);
   ASSERT_TRUE(cold.ok());
-  // Every track went through the cache; none could hit yet on this DAG's
-  // first walk... but hits + misses always equals tracks considered.
-  EXPECT_EQ(cold->trackcache_hits + cold->trackcache_misses,
-            cold->tracks_costed);
-  // The warm repeat answers every track from the cache.
   auto warm = selector.Exhaustive(txns);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->trackcache_hits, warm->tracks_costed);
-  EXPECT_EQ(warm->trackcache_misses, 0);
-  EXPECT_GT(warm->trackcache_hits, 0);
   ExpectSameResult(*cold, *warm);
-  // With the cache off the counters stay silent.
-  OptimizeOptions off;
-  off.use_track_cache = false;
-  auto uncached = selector.Exhaustive(txns, off);
-  ASSERT_TRUE(uncached.ok());
-  EXPECT_EQ(uncached->trackcache_hits, 0);
-  EXPECT_EQ(uncached->trackcache_misses, 0);
 }
 
-TEST(ParallelOptimizerTest, SetStatsInvalidatesCachedCosts) {
-  // The cache keys on catalog contents via Catalog::stats_epoch(): after
-  // SetStats, a warm selector must re-cost and agree with a fresh one.
+TEST(ParallelOptimizerTest, SetStatsRefreshesAnalyses) {
+  // The memoized statistics follow Catalog::stats_epoch(): after SetStats,
+  // a warm selector must re-cost and agree with a fresh one.
   EmpDeptWorkload workload{EmpDeptConfig{}};
   Catalog catalog = workload.catalog();  // private mutable copy
   auto tree = workload.ProblemDeptTree();
@@ -263,8 +200,8 @@ TEST(ParallelOptimizerTest, SetStatsInvalidatesCachedCosts) {
 
   auto after = warm.Exhaustive(txns);
   ASSERT_TRUE(after.ok());
-  // Stale entries would reproduce the old costs; the epoch bump forces
-  // recomputation, matching a selector that never saw the old stats.
+  // Stale derived stats would reproduce the old costs; the epoch bump
+  // forces recomputation, matching a selector that never saw the old stats.
   ViewSelector fresh(&*memo, &catalog);
   auto expected = fresh.Exhaustive(txns);
   ASSERT_TRUE(expected.ok());
@@ -275,6 +212,51 @@ TEST(ParallelOptimizerTest, SetStatsInvalidatesCachedCosts) {
   ASSERT_TRUE(fresh_root.ok());
   EXPECT_NE(before_root->weighted_cost, after_root->weighted_cost);
   EXPECT_EQ(fresh_root->weighted_cost, after_root->weighted_cost);
+}
+
+TEST(ParallelOptimizerTest, SetStatsRefreshesHeuristicTreeChoice) {
+  // SingleTree and HeuristicMarking pick their expression tree from the
+  // memoized statistics before anything is costed. After SetStats a warm
+  // selector must pick the tree a fresh selector picks. Each heuristic gets
+  // its own warm selector, so neither rides on a refresh the other one
+  // triggered.
+  ChainConfig config;
+  config.num_relations = 3;
+  config.with_aggregate = true;
+  ChainWorkload workload{config};
+  Catalog catalog = workload.catalog();  // private mutable copy
+  auto tree = workload.ChainViewTree();
+  ASSERT_TRUE(tree.ok());
+  auto memo = BuildExpandedMemo(*tree, catalog);
+  ASSERT_TRUE(memo.ok());
+  const auto txns = workload.AllTxns({4, 1, 1});
+  ViewSelector warm_single(&*memo, &catalog);
+  ViewSelector warm_marking(&*memo, &catalog);
+  ASSERT_TRUE(warm_single.SingleTree(txns).ok());
+  ASSERT_TRUE(warm_marking.HeuristicMarking(txns).ok());
+
+  // Shrink the middle relation 30x: the cheapest evaluation tree for the
+  // chain changes with it.
+  const std::string middle = workload.RelationName(1);
+  RelationStats stats = catalog.FindTable(middle)->stats;
+  stats.row_count /= 30;
+  ASSERT_TRUE(catalog.SetStats(middle, stats).ok());
+
+  ViewSelector fresh(&*memo, &catalog);
+  auto single = warm_single.SingleTree(txns);
+  auto expected_single = fresh.SingleTree(txns);
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(expected_single.ok());
+  {
+    SCOPED_TRACE("SingleTree");
+    ExpectSameResult(*expected_single, *single);
+  }
+  auto marking = warm_marking.HeuristicMarking(txns);
+  auto expected_marking = fresh.HeuristicMarking(txns);
+  ASSERT_TRUE(marking.ok());
+  ASSERT_TRUE(expected_marking.ok());
+  SCOPED_TRACE("HeuristicMarking");
+  ExpectSameResult(*expected_marking, *marking);
 }
 
 TEST(ParallelOptimizerTest, ZeroThreadsMeansHardwareConcurrency) {

@@ -53,16 +53,19 @@ KNOWN_CONCURRENCY_GAUGES = {
     "concurrency.snapshot_pins",
 }
 
-# Namespaces of retired mechanisms: the parallel-propagation worker pool
-# and hash-sharded storage are gone, so no metric may carry these prefixes.
-# A report that does was built from stale code; the live successors are
-# maintain.coalesce_rows and maintain.self_maintainable_txns.
-RETIRED_PREFIXES = ("maintain.pool.", "maintain.shard.")
+# Namespaces of retired mechanisms: the parallel-propagation worker pool,
+# hash-sharded storage and the optimizer's track-cost cache are gone, so no
+# metric may carry these prefixes. A report that does was built from stale
+# code; the live successors of the first two are maintain.coalesce_rows and
+# maintain.self_maintainable_txns.
+RETIRED_PREFIXES = ("maintain.pool.", "maintain.shard.",
+                    "optimizer.trackcache_")
 
 
 def retired_metric_errors(path, family, names):
-    return [f"{path}: retired {family} '{name}' (the maintain.pool.* and "
-            f"maintain.shard.* namespaces are closed)"
+    return [f"{path}: retired {family} '{name}' (the maintain.pool.*, "
+            f"maintain.shard.* and optimizer.trackcache_* namespaces are "
+            f"closed)"
             for name in names if name.startswith(RETIRED_PREFIXES)]
 
 

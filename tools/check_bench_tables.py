@@ -33,13 +33,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(
 # Column names that are wall-clock readings regardless of bench.
 TIMING_COLUMN = re.compile(r"(_ms|_us|_ns|_seconds)$")
 
-# Per-bench columns that are deterministic-looking but derive from timings
-# or from thread scheduling (cache hit rates race when threads > 1).
+# Per-bench columns that are deterministic-looking but derive from timings.
 EXTRA_EXCLUDED = {
     "s2_scaling": {"ratio"},  # exh_ms / greedy_ms
-    "f3_adepts": {"repeat_x", "hit_pct"},  # optimizer scaling table
-    "h1_heuristics": {"repeat_x", "hit_pct"},  # optimizer scaling table
-    "s3_crossover": {"repeat_x", "hit_pct"},  # optimizer scaling table
 }
 
 REL_TOLERANCE = 1e-9
