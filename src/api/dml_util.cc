@@ -1,5 +1,6 @@
 #include "api/dml_util.h"
 
+#include <algorithm>
 #include <map>
 
 namespace auxview {
@@ -69,32 +70,18 @@ StatusOr<Value> Coerce(const Value& v, ValueType type,
                                  v.ToString());
 }
 
-StatusOr<std::vector<Row>> MatchingRows(const Table& table,
-                                        const SqlExpr::Ptr& where) {
-  Scalar::Ptr pred;
-  if (where != nullptr) {
-    AUXVIEW_ASSIGN_OR_RETURN(
-        pred, ToTableScalar(where, table.name(), table.schema()));
-  }
-  std::vector<Row> out;
-  for (const CountedRow& cr : table.SnapshotUncharged()) {
-    if (pred != nullptr) {
-      AUXVIEW_ASSIGN_OR_RETURN(Value v, pred->Eval(cr.row, table.schema()));
-      if (v.is_null() || !v.boolean()) continue;
-    }
-    out.push_back(cr.row);
-  }
-  return out;
-}
-
 namespace {
 
+/// Appends every `column = literal` conjunct of the AND tree `e` to `out`,
+/// the literal coerced to the column's type. True when every conjunct had
+/// that form (a literal that does not coerce does not count).
 bool CollectEqualities(const SqlExpr::Ptr& e, const Schema& schema,
                        std::vector<std::pair<int, Value>>* out) {
   if (e->kind != SqlExpr::Kind::kBinary) return false;
   if (e->op == "AND") {
-    return CollectEqualities(e->args[0], schema, out) &&
-           CollectEqualities(e->args[1], schema, out);
+    const bool left = CollectEqualities(e->args[0], schema, out);
+    const bool right = CollectEqualities(e->args[1], schema, out);
+    return left && right;
   }
   if (e->op != "=") return false;
   const SqlExpr::Ptr* column = nullptr;
@@ -120,6 +107,48 @@ bool CollectEqualities(const SqlExpr::Ptr& e, const Schema& schema,
 }
 
 }  // namespace
+
+StatusOr<std::vector<CountedRow>> MatchingCountedRows(
+    const Table& table, const SqlExpr::Ptr& where,
+    const std::string& qualifier) {
+  const Schema& schema = table.schema();
+  Scalar::Ptr pred;
+  std::vector<std::string> attrs;
+  Row key;
+  if (where != nullptr) {
+    AUXVIEW_ASSIGN_OR_RETURN(pred, ToTableScalar(where, qualifier, schema));
+    std::vector<std::pair<int, Value>> equalities;
+    CollectEqualities(where, schema, &equalities);
+    for (auto& [col, value] : equalities) {
+      const std::string& name = schema.column(col).name;
+      // A repeated column routes on its first literal; the WHERE filter
+      // below drops the rows a contradicting one excludes.
+      if (std::find(attrs.begin(), attrs.end(), name) != attrs.end()) continue;
+      attrs.push_back(name);
+      key.push_back(std::move(value));
+    }
+  }
+  std::vector<CountedRow> candidates =
+      std::move(table.LookupBatchUncharged(attrs, {key})[0]);
+  if (pred == nullptr) return candidates;
+  std::vector<CountedRow> out;
+  for (CountedRow& cr : candidates) {
+    AUXVIEW_ASSIGN_OR_RETURN(Value v, pred->Eval(cr.row, schema));
+    if (v.is_null() || !v.boolean()) continue;
+    out.push_back(std::move(cr));
+  }
+  return out;
+}
+
+StatusOr<std::vector<Row>> MatchingRows(const Table& table,
+                                        const SqlExpr::Ptr& where) {
+  AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> matched,
+                           MatchingCountedRows(table, where, table.name()));
+  std::vector<Row> out;
+  out.reserve(matched.size());
+  for (CountedRow& cr : matched) out.push_back(std::move(cr.row));
+  return out;
+}
 
 std::optional<std::vector<std::pair<int, Value>>> ExtractEqualities(
     const SqlExpr::Ptr& where, const Schema& schema) {

@@ -28,9 +28,19 @@ StatusOr<Value> EvalConstant(const SqlExpr::Ptr& e);
 /// Coerces a value to a column type where lossless (int -> double).
 StatusOr<Value> Coerce(const Value& v, ValueType type, const std::string& col);
 
-/// Rows of `table` matching a WHERE predicate (nullptr = all rows). Reads
-/// through SnapshotUncharged — works identically against a live table and a
-/// snapshot/overlay version.
+/// Distinct rows of `table` satisfying a WHERE predicate (nullptr = all
+/// rows), each with its multiplicity; column qualifiers must name
+/// `qualifier`. Every `column = literal` conjunct (literal coerced as in
+/// ExtractEqualities) routes the fetch through Table::LookupBatchUncharged,
+/// which probes a hash index on a subset of those columns or scans; the
+/// full predicate then filters every candidate, so NULLs, contradictory
+/// conjuncts and type mismatches keep SQL semantics. Uncharged, and works
+/// identically against a live table and a snapshot/overlay version.
+StatusOr<std::vector<CountedRow>> MatchingCountedRows(
+    const Table& table, const SqlExpr::Ptr& where,
+    const std::string& qualifier);
+
+/// MatchingCountedRows qualified by the table's own name, rows only.
 StatusOr<std::vector<Row>> MatchingRows(const Table& table,
                                         const SqlExpr::Ptr& where);
 

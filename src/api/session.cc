@@ -5,6 +5,7 @@
 #include "api/dml_util.h"
 #include "api/txn_session.h"
 #include "common/string_util.h"
+#include "concurrency/writer.h"
 #include "delta/transaction.h"
 #include "exec/executor.h"
 #include "maintain/assertion.h"
@@ -88,54 +89,66 @@ StatusOr<ExecResult> Session::ExecuteOne(const Statement& stmt) {
 StatusOr<ExecResult> Session::ExecuteSelect(const SelectQuery& query) {
   ExecResult result;
   result.kind = ExecResult::Kind::kRows;
-  const bool mv_shortcut =
-      prepared() && query.from.size() == 1 && query.items.size() == 1 &&
-      query.items[0].star && query.where == nullptr &&
-      query.group_by.empty() && !query.distinct &&
-      roots_.find(query.from[0]) != roots_.end();
   // With concurrency enabled, reads run against the latest published
   // snapshot so they never race a commit mutating the live tables.
-  if (controller_ != nullptr) {
-    SnapshotRef snap = controller_->Pin();
-    if (mv_shortcut) {
-      const Table* table =
-          snap->ResolveTable(MaterializedViewName(roots_.at(query.from[0])));
-      if (table == nullptr) {
-        return Status::Internal("materialized view missing from snapshot");
-      }
-      Relation rows(table->schema());
-      for (const CountedRow& cr : table->SnapshotUncharged()) {
-        rows.Add(cr.row, cr.count);
-      }
-      result.rows = std::move(rows);
-      return result;
-    }
-    AUXVIEW_ASSIGN_OR_RETURN(Expr::Ptr tree, binder_.BindSelect(query));
-    Executor executor(snap.get());
-    AUXVIEW_ASSIGN_OR_RETURN(Relation rows, executor.Execute(*tree));
-    result.rows = std::move(rows);
-    return result;
-  }
-  // SELECT * FROM <maintained view>: serve straight from the materialized
-  // table — the whole point of maintaining it.
-  if (mv_shortcut) {
-    AUXVIEW_ASSIGN_OR_RETURN(Relation rows,
-                             manager_->ViewContents(roots_.at(query.from[0])));
+  SnapshotRef snap;
+  if (controller_ != nullptr) snap = controller_->Pin();
+  const TableSource& source =
+      snap.get() != nullptr ? static_cast<const TableSource&>(*snap) : db_;
+  if (auto view = ReadMaintainedView(query, source, nullptr)) {
+    AUXVIEW_ASSIGN_OR_RETURN(Relation rows, *std::move(view));
     result.rows = std::move(rows);
     return result;
   }
   AUXVIEW_ASSIGN_OR_RETURN(Expr::Ptr tree, binder_.BindSelect(query));
-  Executor executor(&db_);
+  Executor executor(&source);
   AUXVIEW_ASSIGN_OR_RETURN(Relation rows, executor.Execute(*tree));
   result.rows = std::move(rows);
   return result;
 }
 
-StatusOr<std::vector<Row>> Session::MatchingRows(const std::string& table,
-                                                 const SqlExpr::Ptr& where) {
+std::optional<StatusOr<Relation>> Session::ReadMaintainedView(
+    const SelectQuery& query, const TableSource& source,
+    WriterTxn* writer) const {
+  if (!prepared() || query.from.size() != 1 || query.items.size() != 1 ||
+      !query.items[0].star || !query.group_by.empty() ||
+      query.having != nullptr || query.distinct) {
+    return std::nullopt;
+  }
+  const std::string& name = query.from[0];
+  auto root = roots_.find(name);
+  if (root == roots_.end()) return std::nullopt;
+  // Read-your-writes: the materialized table does not reflect the writer's
+  // staged changes yet, so a view over a relation they touch runs inlined
+  // over the overlay instead.
+  if (writer != nullptr) {
+    if (const Expr::Ptr* def = binder_.FindView(name); def != nullptr) {
+      for (const std::string& relation : (*def)->BaseRelations()) {
+        if (writer->delta().Touches(relation)) return std::nullopt;
+      }
+    }
+  }
+  const std::string mv_name = MaterializedViewName(root->second);
+  const Table* table = source.ResolveTable(mv_name);
+  if (table == nullptr) {
+    return Status::Internal("materialized view missing: " + mv_name);
+  }
+  // Views carry no row-level footprints: commits list rewritten views in
+  // their touched set, so any change to the view's contents conflicts.
+  if (writer != nullptr) writer->footprint().AddScanRead(mv_name);
+  StatusOr<std::vector<CountedRow>> matched =
+      dml::MatchingCountedRows(*table, query.where, name);
+  if (!matched.ok()) return matched.status();
+  Relation rows(table->schema());
+  for (const CountedRow& cr : *matched) rows.Add(cr.row, cr.count);
+  return rows;
+}
+
+StatusOr<std::vector<CountedRow>> Session::MatchingRows(
+    const std::string& table, const SqlExpr::Ptr& where) {
   const Table* t = db_.FindTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
-  return dml::MatchingRows(*t, where);
+  return dml::MatchingCountedRows(*t, where, table);
 }
 
 StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
@@ -172,12 +185,11 @@ StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
     }
     case Statement::Kind::kDelete: {
       const DeleteStmt& del = *stmt.del;
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(del.table, del.where));
-      const Table* t = db_.FindTable(del.table);
       update.relation = del.table;
-      for (const Row& row : victims) {
-        update.deletes.emplace_back(row, t->CountOf(row));
+      for (CountedRow& victim : victims) {
+        update.deletes.emplace_back(std::move(victim.row), victim.count);
       }
       spec.relation = del.table;
       spec.kind = UpdateKind::kDelete;
@@ -189,7 +201,7 @@ StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
       const UpdateStmt& upd = *stmt.update;
       const Table* t = db_.FindTable(upd.table);
       if (t == nullptr) return Status::NotFound("no such table: " + upd.table);
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(upd.table, upd.where));
       update.relation = upd.table;
       std::vector<std::pair<int, Scalar::Ptr>> sets;
@@ -202,7 +214,8 @@ StatusOr<ConcreteTxn> Session::BuildConcreteTxn(const Statement& stmt,
         sets.emplace_back(idx, std::move(scalar));
         spec.modified_attrs.push_back(col);
       }
-      for (const Row& old_row : victims) {
+      for (const CountedRow& victim : victims) {
+        const Row& old_row = victim.row;
         Row new_row = old_row;
         for (const auto& [idx, scalar] : sets) {
           AUXVIEW_ASSIGN_OR_RETURN(Value v, scalar->Eval(old_row, t->schema()));

@@ -20,6 +20,7 @@
 namespace auxview {
 
 class TxnSession;
+class WriterTxn;
 
 /// Result of Session::Execute for one statement.
 struct ExecResult {
@@ -175,9 +176,20 @@ class Session {
   StatusOr<UpdateTrack> TrackFor(const TransactionType& type);
   /// Group id of a view/assertion name.
   StatusOr<GroupId> GroupOf(const std::string& name) const;
-  /// Rows of `table` matching a WHERE predicate (nullptr = all).
-  StatusOr<std::vector<Row>> MatchingRows(const std::string& table,
-                                          const SqlExpr::Ptr& where);
+  /// Rows of `table` matching a WHERE predicate (nullptr = all), each with
+  /// its multiplicity.
+  StatusOr<std::vector<CountedRow>> MatchingRows(const std::string& table,
+                                                 const SqlExpr::Ptr& where);
+  /// Answers SELECT * FROM <maintained view or assertion> [WHERE ...] from
+  /// the view's materialized table in `source`, through the row matcher
+  /// (an index probe on the view's group key for a keyed WHERE). `writer`
+  /// is the reading TxnSession's transaction, or nullptr: the read enters
+  /// its footprint, and when its staged changes touch a relation the view
+  /// reads the table is stale for it. nullopt for any other query shape and
+  /// for that stale case — the caller runs the inlined plan.
+  std::optional<StatusOr<Relation>> ReadMaintainedView(
+      const SelectQuery& query, const TableSource& source,
+      WriterTxn* writer) const;
 
   SessionOptions options_;
   Catalog catalog_;

@@ -4,23 +4,9 @@
 
 #include "api/dml_util.h"
 #include "exec/executor.h"
-#include "maintain/delta_engine.h"
 #include "parser/parser.h"
 
 namespace auxview {
-
-namespace {
-
-/// Leaf (stored) relations an algebra tree reads — the read footprint of a
-/// SELECT whose view references were inlined by the binder.
-void CollectScanTables(const Expr& expr, std::vector<std::string>* out) {
-  if (expr.kind() == OpKind::kScan) out->push_back(expr.table());
-  for (const Expr::Ptr& child : expr.children()) {
-    CollectScanTables(*child, out);
-  }
-}
-
-}  // namespace
 
 StatusOr<ExecResult> TxnSession::Execute(const std::string& sql) {
   AUXVIEW_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseSql(sql));
@@ -49,36 +35,15 @@ StatusOr<ExecResult> TxnSession::ExecuteOne(const Statement& stmt) {
 StatusOr<ExecResult> TxnSession::ExecuteSelect(const SelectQuery& query) {
   ExecResult result;
   result.kind = ExecResult::Kind::kRows;
-  // SELECT * FROM <maintained view>: serve from the snapshot's materialized
-  // table. The read is footprinted against the view table itself; commits
-  // list rewritten views in their touched set, so any change to the view's
-  // contents conflicts (coarse, but views carry no row-level footprints).
-  if (query.from.size() == 1 && query.items.size() == 1 &&
-      query.items[0].star && query.where == nullptr &&
-      query.group_by.empty() && !query.distinct) {
-    auto it = owner_->roots_.find(query.from[0]);
-    if (it != owner_->roots_.end()) {
-      const std::string mv_name = MaterializedViewName(it->second);
-      const Table* table = writer_.ResolveTable(mv_name);
-      if (table == nullptr) {
-        return Status::Internal("materialized view missing from snapshot: " +
-                                mv_name);
-      }
-      writer_.footprint().AddScanRead(mv_name);
-      Relation rows(table->schema());
-      for (const CountedRow& cr : table->SnapshotUncharged()) {
-        rows.Add(cr.row, cr.count);
-      }
-      result.rows = std::move(rows);
-      return result;
-    }
+  if (auto view = owner_->ReadMaintainedView(query, writer_, &writer_)) {
+    AUXVIEW_ASSIGN_OR_RETURN(Relation rows, *std::move(view));
+    result.rows = std::move(rows);
+    return result;
   }
   AUXVIEW_ASSIGN_OR_RETURN(Expr::Ptr tree, owner_->binder_.BindSelect(query));
   // Inlined view references bottom out at base-table scans; footprint every
   // stored relation the plan reads.
-  std::vector<std::string> scans;
-  CollectScanTables(*tree, &scans);
-  for (const std::string& name : scans) {
+  for (const std::string& name : tree->BaseRelations()) {
     writer_.footprint().AddScanRead(name);
   }
   Executor executor(&writer_);
@@ -87,8 +52,8 @@ StatusOr<ExecResult> TxnSession::ExecuteSelect(const SelectQuery& query) {
   return result;
 }
 
-StatusOr<std::vector<Row>> TxnSession::MatchingRows(const std::string& table,
-                                                    const SqlExpr::Ptr& where) {
+StatusOr<std::vector<CountedRow>> TxnSession::MatchingRows(
+    const std::string& table, const SqlExpr::Ptr& where) {
   const Table* t = writer_.ResolveTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
   if (auto equalities = dml::ExtractEqualities(where, t->schema())) {
@@ -96,7 +61,7 @@ StatusOr<std::vector<Row>> TxnSession::MatchingRows(const std::string& table,
   } else {
     writer_.footprint().AddScanRead(table);
   }
-  return dml::MatchingRows(*t, where);
+  return dml::MatchingCountedRows(*t, where, table);
 }
 
 StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
@@ -128,12 +93,11 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
     }
     case Statement::Kind::kDelete: {
       const DeleteStmt& del = *stmt.del;
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(del.table, del.where));
-      for (const Row& row : victims) {
-        const Table* t = writer_.ResolveTable(del.table);
+      for (const CountedRow& victim : victims) {
         AUXVIEW_RETURN_IF_ERROR(
-            writer_.Delete(del.table, row, t->CountOf(row)));
+            writer_.Delete(del.table, victim.row, victim.count));
         ++result.affected;
       }
       return result;
@@ -143,7 +107,7 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
       const Table* t = writer_.ResolveTable(upd.table);
       if (t == nullptr) return Status::NotFound("no such table: " + upd.table);
       const Schema schema = t->schema();
-      AUXVIEW_ASSIGN_OR_RETURN(std::vector<Row> victims,
+      AUXVIEW_ASSIGN_OR_RETURN(std::vector<CountedRow> victims,
                                MatchingRows(upd.table, upd.where));
       std::vector<std::pair<int, Scalar::Ptr>> sets;
       for (const auto& [col, expr] : upd.sets) {
@@ -153,7 +117,8 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
             Scalar::Ptr scalar, dml::ToTableScalar(expr, upd.table, schema));
         sets.emplace_back(idx, std::move(scalar));
       }
-      for (const Row& old_row : victims) {
+      for (const CountedRow& victim : victims) {
+        const Row& old_row = victim.row;
         Row new_row = old_row;
         for (const auto& [idx, scalar] : sets) {
           AUXVIEW_ASSIGN_OR_RETURN(Value v, scalar->Eval(old_row, schema));
@@ -162,9 +127,8 @@ StatusOr<ExecResult> TxnSession::ApplyDml(const Statement& stmt) {
           new_row[static_cast<size_t>(idx)] = std::move(v);
         }
         if (RowEq()(old_row, new_row)) continue;
-        const Table* current = writer_.ResolveTable(upd.table);
-        AUXVIEW_RETURN_IF_ERROR(writer_.Modify(upd.table, old_row, new_row,
-                                               current->CountOf(old_row)));
+        AUXVIEW_RETURN_IF_ERROR(
+            writer_.Modify(upd.table, old_row, new_row, victim.count));
         ++result.affected;
       }
       return result;

@@ -66,11 +66,11 @@ class TxnSession {
   StatusOr<ExecResult> ExecuteOne(const Statement& stmt);
   StatusOr<ExecResult> ExecuteSelect(const SelectQuery& query);
   StatusOr<ExecResult> ApplyDml(const Statement& stmt);
-  /// Victim rows for DELETE/UPDATE through the overlay; records a key read
-  /// when the WHERE clause is a pure equality conjunction, else a
-  /// whole-relation read.
-  StatusOr<std::vector<Row>> MatchingRows(const std::string& table,
-                                          const SqlExpr::Ptr& where);
+  /// Victim rows for DELETE/UPDATE through the overlay, each with its
+  /// visible multiplicity; records a key read when the WHERE clause is a
+  /// pure equality conjunction, else a whole-relation read.
+  StatusOr<std::vector<CountedRow>> MatchingRows(const std::string& table,
+                                                 const SqlExpr::Ptr& where);
 
   Session* owner_;
   WriterTxn writer_;

@@ -56,11 +56,19 @@ StatusOr<std::vector<CountedRow>> WriterTxn::LookupEq(
   return table->Lookup(attrs, key);
 }
 
+StatusOr<const Table*> WriterTxn::Base(const std::string& relation) const {
+  const Table* table = snapshot_->ResolveTable(relation);
+  if (table == nullptr) {
+    return Status::NotFound("no such table: " + relation);
+  }
+  return table;
+}
+
 Status WriterTxn::Insert(const std::string& relation, const Row& row,
                          int64_t count) {
   if (count <= 0) return Status::InvalidArgument("insert count must be > 0");
-  AUXVIEW_ASSIGN_OR_RETURN(const Table* table, Overlay(relation));
-  if (static_cast<int>(row.size()) != table->schema().num_columns()) {
+  AUXVIEW_ASSIGN_OR_RETURN(const Table* base, Base(relation));
+  if (static_cast<int>(row.size()) != base->schema().num_columns()) {
     return Status::InvalidArgument("insert arity mismatch for " + relation);
   }
   delta_.StageInsert(relation, row, count);
@@ -70,8 +78,8 @@ Status WriterTxn::Insert(const std::string& relation, const Row& row,
 Status WriterTxn::Delete(const std::string& relation, const Row& row,
                          int64_t count) {
   if (count <= 0) return Status::InvalidArgument("delete count must be > 0");
-  AUXVIEW_ASSIGN_OR_RETURN(const Table* table, Overlay(relation));
-  if (table->CountOf(row) < count) {
+  AUXVIEW_ASSIGN_OR_RETURN(const Table* base, Base(relation));
+  if (base->CountOf(row) + delta_.DeltaOf(relation, row) < count) {
     return Status::InvalidArgument("delete of " + RowToString(row) + " from " +
                                    relation +
                                    " exceeds its visible multiplicity");
@@ -83,13 +91,13 @@ Status WriterTxn::Delete(const std::string& relation, const Row& row,
 Status WriterTxn::Modify(const std::string& relation, const Row& old_row,
                          const Row& new_row, int64_t count) {
   if (count <= 0) return Status::InvalidArgument("modify count must be > 0");
-  AUXVIEW_ASSIGN_OR_RETURN(const Table* table, Overlay(relation));
-  if (table->CountOf(old_row) < count) {
+  AUXVIEW_ASSIGN_OR_RETURN(const Table* base, Base(relation));
+  if (base->CountOf(old_row) + delta_.DeltaOf(relation, old_row) < count) {
     return Status::InvalidArgument("modify of " + RowToString(old_row) +
                                    " in " + relation +
                                    " exceeds its visible multiplicity");
   }
-  if (static_cast<int>(new_row.size()) != table->schema().num_columns()) {
+  if (static_cast<int>(new_row.size()) != base->schema().num_columns()) {
     return Status::InvalidArgument("modify arity mismatch for " + relation);
   }
   delta_.StageModify(relation, old_row, new_row, count);

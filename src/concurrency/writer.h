@@ -78,6 +78,10 @@ class WriterTxn : public TableSource {
  private:
   /// Overlay table or NotFound.
   StatusOr<const Table*> Overlay(const std::string& relation) const;
+  /// The pinned snapshot's version of `relation` or NotFound. Staging checks
+  /// its schema, and visible multiplicity as its count plus the staged
+  /// delta, without materializing the overlay a staged change invalidates.
+  StatusOr<const Table*> Base(const std::string& relation) const;
 
   ConcurrencyController* controller_;
   SnapshotRef snapshot_;

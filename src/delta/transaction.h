@@ -50,10 +50,12 @@ struct ConcreteTxn;
 /// Maps a concrete transaction back to a declared type by name, or — for
 /// transactions whose type is not in `declared` (e.g. WAL replay of ad-hoc
 /// DML) — derives a one-off spec from its content: one UpdateSpec per
-/// touched relation, kind by dominant delta (modify > insert > delete),
-/// modified_attrs by diffing the modify pairs against the schema. Recovery
-/// uses this so a replayed transaction takes the same maintenance path the
-/// original commit took.
+/// touched relation. Modify pairs make it a modify (modified_attrs by
+/// diffing the pairs against the schema); a delete that is not the old half
+/// of a folded UPDATE (its primary key re-inserted) makes it a delete,
+/// since it can empty an aggregate group; anything else is an insert.
+/// Recovery uses this so a replayed transaction takes the same maintenance
+/// path the original commit took.
 TransactionType DeriveTransactionType(
     const ConcreteTxn& txn, const std::vector<TransactionType>& declared,
     const Catalog& catalog);

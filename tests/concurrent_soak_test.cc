@@ -1,9 +1,10 @@
 // Multi-writer / multi-reader soak over one concurrency-enabled Session.
 // Small enough for the sanitizer jobs, and the thread-sanitizer CI target
-// runs it under TSan: writer threads commit (and retry) through the
-// optimistic funnel while reader threads execute joins and view scans
-// against published snapshots, with zero synchronization other than the
-// concurrency layer's own.
+// runs it under TSan: writer threads commit (and retry) point and
+// multi-row keyed UPDATEs through the optimistic funnel while reader
+// threads execute joins, view scans and keyed view reads against published
+// snapshots, with zero synchronization other than the concurrency layer's
+// own.
 
 #include <gtest/gtest.h>
 
@@ -78,9 +79,14 @@ TEST(ConcurrentSoakTest, WritersAndReadersRaceCleanly) {
         const std::string shared = "d" + std::to_string(kDepts - 1);
         const std::string target = (i % 3 == 0) ? shared : mine;
         const std::string ename = target + "e" + std::to_string(i % kEmpsPerDept);
-        const std::string sql = "UPDATE Emp SET Salary = " +
-                                std::to_string(101 + (t * 1000 + i) % 400) +
-                                " WHERE EName = '" + ename + "';";
+        const std::string salary = std::to_string(101 + (t * 1000 + i) % 400);
+        // Every fifth op updates the whole department through the DName
+        // index; the rest update one employee by key.
+        const std::string sql =
+            i % 5 == 4 ? "UPDATE Emp SET Salary = " + salary +
+                             " WHERE DName = '" + target + "';"
+                       : "UPDATE Emp SET Salary = " + salary +
+                             " WHERE EName = '" + ename + "';";
         bool done = false;
         for (int attempt = 0; attempt < 10 && !done; ++attempt) {
           auto executed = (*txn)->Execute(sql);
@@ -106,19 +112,27 @@ TEST(ConcurrentSoakTest, WritersAndReadersRaceCleanly) {
     });
   }
   for (int t = 0; t < kReaderThreads; ++t) {
-    threads.emplace_back([&session, &failed] {
+    threads.emplace_back([&session, &failed, t] {
       auto txn = session.OpenSession();
       if (!txn.ok()) {
         failed = true;
         return;
       }
       for (int i = 0; i < kReadsPerReader && !failed; ++i) {
+        const std::string dname = "d" + std::to_string((t + i) % kDepts);
         auto view = (*txn)->Execute("SELECT * FROM SumOfSals;");
+        auto keyed = (*txn)->Execute(
+            "SELECT * FROM SumOfSals WHERE DName = '" + dname + "';");
+        // The same snapshot through the serial Session's read path.
+        auto serial_keyed = session.Execute(
+            "SELECT * FROM SumOfSals WHERE DName = '" + dname + "';");
         auto join = (*txn)->Execute(
             "SELECT EName, Budget FROM Emp, Dept "
             "WHERE Emp.DName = Dept.DName;");
-        if (!view.ok() || !join.ok() ||
+        if (!view.ok() || !keyed.ok() || !serial_keyed.ok() || !join.ok() ||
             view->rows->total_count() != kDepts ||
+            keyed->rows->total_count() != 1 ||
+            serial_keyed->rows->total_count() != 1 ||
             join->rows->total_count() != kDepts * kEmpsPerDept) {
           failed = true;
           return;

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "api/session.h"
+#include "api/txn_session.h"
 
 namespace auxview {
 namespace {
@@ -152,6 +156,42 @@ TEST_F(SessionTest, DeleteWholeDepartment) {
   ASSERT_TRUE(sums.ok());
   EXPECT_EQ(sums->total_count(), 3);  // the d2 group vanished
   EXPECT_TRUE(session_.CheckConsistency().ok());
+}
+
+// SELECT * FROM <view> answers from the view's materialized table, which
+// is stored under another name; columns qualified with the view's name and
+// predicates on the aggregate column must still resolve — on the serial
+// path, on snapshot reads and in a TxnSession.
+TEST_F(SessionTest, ViewReadsResolveQualifiedAndAggregateColumns) {
+  ASSERT_TRUE(
+      session_.Execute("UPDATE Emp SET Salary = 10 WHERE EName = 'd2e0';")
+          .ok());
+  using Exec = std::function<StatusOr<ExecResult>(const std::string&)>;
+  auto check = [](const Exec& exec, const std::string& mode) {
+    auto keyed = exec("SELECT * FROM SumOfSals WHERE SumOfSals.DName = 'd0';");
+    ASSERT_TRUE(keyed.ok()) << mode << ": " << keyed.status().ToString();
+    EXPECT_EQ(keyed->rows->total_count(), 1) << mode;
+    EXPECT_EQ(keyed->rows->CountOf({Value::String("d0"), Value::Int64(3030)}),
+              1)
+        << mode << ": " << keyed->rows->ToString();
+    auto agg = exec("SELECT * FROM SumOfSals WHERE SalSum > 3000;");
+    ASSERT_TRUE(agg.ok()) << mode << ": " << agg.status().ToString();
+    EXPECT_EQ(agg->rows->total_count(), 3) << mode;  // d2 sums to 2040
+    auto both = exec(
+        "SELECT * FROM SumOfSals WHERE SumOfSals.SalSum > 3000 AND "
+        "DName <> 'd1';");
+    ASSERT_TRUE(both.ok()) << mode << ": " << both.status().ToString();
+    EXPECT_EQ(both->rows->total_count(), 2) << mode;
+  };
+  check([&](const std::string& sql) { return session_.Execute(sql); },
+        "serial");
+  ASSERT_TRUE(session_.EnableConcurrency().ok());
+  check([&](const std::string& sql) { return session_.Execute(sql); },
+        "snapshot");
+  auto txn = session_.OpenSession();
+  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+  check([&](const std::string& sql) { return (*txn)->Execute(sql); },
+        "TxnSession");
 }
 
 TEST_F(SessionTest, PlanPrefersSumOfSalsSharing) {
